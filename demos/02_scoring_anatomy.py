@@ -12,28 +12,36 @@ from lexid import (
     load_lexicon,
     normalize_text,
     score_all,
-    term_language_count,
-    tf,
-    weight,
 )
 
 lex = load_lexicon(demo_lexicon_dir())
 
+
+def diacritic_score(text: str, lang: str, tf_mode: str = "raw", weight_mode: str = "unit"):
+    """Score of ``lang`` on diacritics alone (p=0), one term's tf x weight."""
+    cfg = ScoringConfig(p=0.0, tf_mode=tf_mode, weight_mode=weight_mode)
+    return score_all(normalize_text(text), lex, cfg)[lang]
+
+
 # --- term frequency -----------------------------------------------------
 # "raw" is the plain occurrence count; "log" dampens repeats so one word
-# spammed ten times does not drown the rest of the text.
+# spammed ten times does not drown the rest of the text.  A text of
+# `count` copies of ñ, scored with unit weight, shows the tf of `count`.
 for count in (0, 1, 2, 10):
-    print(f"count={count:>2}  raw tf={tf(count, 'raw'):>4.1f}  log tf={tf(count, 'log'):.3f}")
+    raw = diacritic_score("ñ" * count, "es")
+    log = diacritic_score("ñ" * count, "es", tf_mode="log")
+    print(f"count={count:>2}  raw tf={raw:>4.1f}  log tf={log:.3f}")
 print()
 
 # --- language-specificity weight ----------------------------------------
 # A term listed by few languages is strong evidence.  ñ only exists in
 # the Spanish set, é in four of the five: with N=5 languages their
-# ratio weights are 5/1 and 5/4.
+# ratio weights are 5/1 and 5/4.  A one-character text has raw tf 1,
+# so its score is the weight itself.
 for ch, lang in (("ñ", "es"), ("é", "fr"), ("à", "fr")):
-    n = term_language_count(lex, ch, DIACRITIC)
-    ratio = weight(ch, DIACRITIC, lang, lex, "ratio")
-    log_ratio = weight(ch, DIACRITIC, lang, lex, "log_ratio")
+    n = len(lex.languages_with(ch, DIACRITIC))
+    ratio = diacritic_score(ch, lang, weight_mode="ratio")
+    log_ratio = diacritic_score(ch, lang, weight_mode="log_ratio")
     print(f"{ch}: listed by {n} languages  N/n={ratio:.2f}  ln(1+N/n)={log_ratio:.3f}")
 print()
 

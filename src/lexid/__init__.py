@@ -3,9 +3,9 @@
 The method scores a text against per-language stop-word and diacritic
 dictionaries, weighting each term by how few languages share it, and
 picks the language with the strictly highest score.  It needs no
-training, runs in one dictionary pass per language, and reports an
-explicit ``und`` outcome instead of guessing when the evidence is absent
-or tied.
+training, looks up only the terms a text contains, so its cost does not
+depend on dictionary size, and reports an explicit ``und`` outcome
+instead of guessing when the evidence is absent or tied.
 """
 
 from .evaluation import (
@@ -33,10 +33,9 @@ from .lexicon import (
     load_lexicon,
     save_lexicon,
     strip_diacritics,
-    term_language_count,
     validate_lexicon,
 )
-from .normalize import NormalizedText, diacritic_count, normalize_text, token_count
+from .normalize import NormalizedText, normalize_text
 from .scoring import (
     NO_EVIDENCE,
     PRESETS,
@@ -47,9 +46,6 @@ from .scoring import (
     classify,
     preset_config,
     score_all,
-    score_language,
-    tf,
-    weight,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +75,6 @@ __all__ = [
     "builtin_diacritics",
     "classify",
     "demo_lexicon_dir",
-    "diacritic_count",
     "emit_report",
     "evaluate",
     "load_corpus",
@@ -88,11 +83,6 @@ __all__ = [
     "preset_config",
     "save_lexicon",
     "score_all",
-    "score_language",
     "strip_diacritics",
-    "term_language_count",
-    "tf",
-    "token_count",
     "validate_lexicon",
-    "weight",
 ]

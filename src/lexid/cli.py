@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (an unclassified text is *not* an error), 1 usage
 error, 2 I/O error, 3 lexicon validation failure, 4 corpus rejected for
-too many malformed lines.  Results go to stdout, logs and summaries to
-stderr.  ``--lexicon`` defaults to the ``LID_LEXICON`` environment
-variable.
+too many malformed lines.  A reader that closes stdout early, as in
+``lexid detect --stdin | head -1``, ends the run quietly with exit 0.
+Results go to stdout, logs and summaries to stderr.  ``--lexicon``
+defaults to the ``LID_LEXICON`` environment variable.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .lexicon import (
     validate_lexicon,
 )
 from .normalize import normalize_text
-from .scoring import PRESETS, ScoringConfig, classify, preset_config
+from .scoring import PRESETS, TF_MODES, WEIGHT_MODES, ScoringConfig, classify, preset_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,10 +62,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("scoring configuration")
     group.add_argument("--preset", choices=sorted(PRESETS), help="stock configuration")
     group.add_argument("--p", type=float, help="stop-word mixing coefficient in [0,1]")
-    group.add_argument("--tf", choices=("raw", "log"), help="term-frequency mode")
-    group.add_argument(
-        "--weight", choices=("unit", "ratio", "log_ratio"), help="term-weighting mode"
-    )
+    group.add_argument("--tf", choices=TF_MODES, help="term-frequency mode")
+    group.add_argument("--weight", choices=WEIGHT_MODES, help="term-weighting mode")
     group.add_argument(
         "--fallback",
         action=argparse.BooleanOptionalAction,
@@ -257,7 +256,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send the output still buffered to devnull, so the flush at
+        # interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

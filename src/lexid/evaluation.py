@@ -181,7 +181,8 @@ def evaluate(
     counts = {gold: {label: 0 for label in predicted_labels} for gold in gold_labels}
     reasons = {gold: {NO_EVIDENCE: 0, TIE: 0} for gold in gold_labels}
     for doc, (doc_id, predicted, reason) in zip(corpus, results):
-        assert doc.id == doc_id
+        if doc.id != doc_id:
+            raise RuntimeError(f"result for document {doc_id} arrived in place of {doc.id}")
         counts[doc.gold][predicted] += 1
         if reason is not None:
             reasons[doc.gold][reason] += 1

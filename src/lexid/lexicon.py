@@ -26,6 +26,7 @@ import unicodedata
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from .normalize import normalize_text
 
@@ -109,26 +110,17 @@ class LexiconSet:
             _check_entries(code, lexicon)
             self._languages[code] = lexicon
 
-        index: dict[tuple[str, str], set[str]] = {}
+        index: dict[str, dict[str, set[str]]] = {STOPWORD: {}, DIACRITIC: {}}
         for code, lexicon in self._languages.items():
             for word in lexicon.stopwords:
-                index.setdefault((STOPWORD, word), set()).add(code)
+                index[STOPWORD].setdefault(word, set()).add(code)
             for ch in lexicon.diacritics:
-                index.setdefault((DIACRITIC, ch), set()).add(code)
-        self._index: dict[tuple[str, str], frozenset[str]] = {
-            key: frozenset(codes) for key, codes in index.items()
+                index[DIACRITIC].setdefault(ch, set()).add(code)
+        self._index: dict[str, dict[str, frozenset[str]]] = {
+            kind: {term: frozenset(codes) for term, codes in terms.items()}
+            for kind, terms in index.items()
         }
-        # Sorted iteration orders make float accumulation reproducible
-        # across processes and runs.
-        self._sorted_stopwords = {
-            code: tuple(sorted(lex.stopwords)) for code, lex in self._languages.items()
-        }
-        self._sorted_diacritics = {
-            code: tuple(sorted(lex.diacritics)) for code, lex in self._languages.items()
-        }
-        self._all_diacritics = frozenset().union(
-            *(lex.diacritics for lex in self._languages.values())
-        )
+        self._all_diacritics = frozenset(self._index[DIACRITIC])
 
     @property
     def languages(self) -> dict[str, LanguageLexicon]:
@@ -147,15 +139,13 @@ class LexiconSet:
         """Union of every language's diacritic set."""
         return self._all_diacritics
 
-    def sorted_stopwords(self, code: str) -> tuple[str, ...]:
-        return self._sorted_stopwords[code]
-
-    def sorted_diacritics(self, code: str) -> tuple[str, ...]:
-        return self._sorted_diacritics[code]
+    def term_index(self, kind: str) -> Mapping[str, frozenset[str]]:
+        """Read-only ``term -> languages listing it`` map of one namespace."""
+        return MappingProxyType(self._index[kind])
 
     def languages_with(self, term: str, kind: str) -> frozenset[str]:
         """Languages whose ``kind`` dictionary lists ``term``."""
-        return self._index.get((kind, term), frozenset())
+        return self._index[kind].get(term, frozenset())
 
     def fingerprint(self) -> str:
         """Stable hex digest of the full lexicon content."""
@@ -196,19 +186,6 @@ def builtin_diacritics() -> dict[str, frozenset[str]]:
     return {code: frozenset(chars) for code, chars in BUILTIN_DIACRITICS.items()}
 
 
-def term_language_count(lex: LexiconSet, term: str, kind: str | None = None) -> int:
-    """Number of languages listing ``term``.
-
-    With ``kind`` set to ``STOPWORD`` or ``DIACRITIC``, only that
-    namespace is consulted; otherwise the union of both.  Returns 0 only
-    for terms absent from every language.
-    """
-    if kind is not None:
-        return len(lex.languages_with(term, kind))
-    codes = lex.languages_with(term, STOPWORD) | lex.languages_with(term, DIACRITIC)
-    return len(codes)
-
-
 def strip_diacritics(term: str) -> str:
     """Replace accented characters with their ASCII base spelling."""
     return "".join(FOLDING_TABLE.get(ch, ch) for ch in term)
@@ -245,14 +222,10 @@ def validate_lexicon(lex: LexiconSet) -> list[Finding]:
             Finding("error", f"only {n_langs} language(s); classification needs at least 2")
         )
 
-    shared: list[tuple[str, int]] = []
-    for (kind, term), codes in lex._index.items():
-        if kind == STOPWORD and n_langs >= 2 and len(codes) >= n_langs - 1:
-            shared.append((term, len(codes)))
-    for term, count in sorted(shared):
-        findings.append(
-            Finding("warning", f"stop word {term!r} appears in {count} of {n_langs} languages")
-        )
+    for term, codes in sorted(lex.term_index(STOPWORD).items()):
+        if n_langs >= 2 and len(codes) >= n_langs - 1:
+            message = f"stop word {term!r} appears in {len(codes)} of {n_langs} languages"
+            findings.append(Finding("warning", message))
 
     accented_in_use = {
         ch

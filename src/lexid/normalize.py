@@ -79,15 +79,3 @@ def normalize_text(raw: str) -> NormalizedText:
         raw_length=len(raw),
     )
 
-
-def diacritic_count(nt: NormalizedText, ch: str) -> int:
-    """Occurrences of the single character ``ch`` across all tokens."""
-    return nt.char_freq.get(ch, 0)
-
-
-def token_count(nt: NormalizedText, term: str) -> int:
-    """Occurrences of ``term`` as a whole token (never a substring match).
-
-    ``term`` must already be normalized (lowercase, NFC).
-    """
-    return nt.token_freq.get(term, 0)

@@ -19,8 +19,9 @@ any language, scoring proceeds with ``p = 1`` (stop words only).  That
 effective ``p`` is decided once per text so every language is scored on
 the same scale.
 
-Scoring one language costs one dictionary pass (constant-time count
-lookups), independent of text length once the text is normalized.
+Scoring visits only the dictionary terms the text contains: its cost is
+proportional to the text's distinct tokens and characters and does not
+depend on dictionary size.
 """
 
 from __future__ import annotations
@@ -31,8 +32,16 @@ from dataclasses import dataclass
 from .lexicon import DIACRITIC, STOPWORD, LexiconSet
 from .normalize import NormalizedText
 
-TF_MODES = ("raw", "log")
-WEIGHT_MODES = ("unit", "ratio", "log_ratio")
+#: ``tf_mode`` -> term frequency of an occurrence count.
+_TF = {"raw": float, "log": math.log1p}
+#: ``weight_mode`` -> weight of a term listed by ``n`` of ``n_languages``.
+_WEIGHT = {
+    "unit": lambda n_languages, n: 1.0,
+    "ratio": lambda n_languages, n: n_languages / n,
+    "log_ratio": lambda n_languages, n: math.log1p(n_languages / n),
+}
+TF_MODES = tuple(_TF)
+WEIGHT_MODES = tuple(_WEIGHT)
 
 # Non-classification reasons.
 NO_EVIDENCE = "no_evidence"
@@ -119,77 +128,6 @@ class Verdict:
         return self.language is not None
 
 
-def tf(count: int, mode: str) -> float:
-    """Term frequency: the raw count, or ``ln(1 + count)`` in log mode."""
-    if mode == "raw":
-        return float(count)
-    if mode == "log":
-        return math.log1p(count)
-    raise ValueError(f"unknown tf mode {mode!r}")
-
-
-def weight(term: str, kind: str, lang: str, lex: LexiconSet, mode: str) -> float:
-    """Language-specificity weight of a dictionary term.
-
-    ``n`` is the number of languages listing ``term`` in the ``kind``
-    namespace; the weight is 1, ``N/n`` or ``ln(1 + N/n)`` and depends on
-    ``lang`` only through the precondition that the term belongs to that
-    language's dictionary.
-    """
-    entry = lex.languages[lang]
-    members = entry.stopwords if kind == STOPWORD else entry.diacritics
-    if term not in members:
-        raise ValueError(f"{kind} {term!r} is not in language {lang!r}")
-    return _term_weight(len(lex.languages_with(term, kind)), lex.n_languages, mode)
-
-
-def _term_weight(n: int, n_languages: int, mode: str) -> float:
-    # n >= 1 is guaranteed: the term comes from some language's dictionary.
-    if mode == "unit":
-        return 1.0
-    if mode == "ratio":
-        return n_languages / n
-    if mode == "log_ratio":
-        return math.log1p(n_languages / n)
-    raise ValueError(f"unknown weight mode {mode!r}")
-
-
-def _score_one(nt: NormalizedText, lang: str, lex: LexiconSet, cfg: ScoringConfig, p: float) -> float:
-    n_languages = lex.n_languages
-    stop_total = 0.0
-    if p > 0.0:
-        token_freq = nt.token_freq
-        for word in lex.sorted_stopwords(lang):
-            count = token_freq.get(word, 0)
-            if count:
-                stop_total += tf(count, cfg.tf_mode) * _term_weight(
-                    len(lex.languages_with(word, STOPWORD)), n_languages, cfg.weight_mode
-                )
-    dia_total = 0.0
-    if p < 1.0:
-        char_freq = nt.char_freq
-        for ch in lex.sorted_diacritics(lang):
-            count = char_freq.get(ch, 0)
-            if count:
-                dia_total += tf(count, cfg.tf_mode) * _term_weight(
-                    len(lex.languages_with(ch, DIACRITIC)), n_languages, cfg.weight_mode
-                )
-    return p * stop_total + (1.0 - p) * dia_total
-
-
-def score_language(
-    nt: NormalizedText, lang: str, lex: LexiconSet, cfg: ScoringConfig
-) -> float:
-    """Score one language with ``cfg.p`` taken as-is.
-
-    The fallback rule is applied by :func:`score_all`, which decides the
-    effective ``p`` once per text before scoring every language.
-    """
-    if lang not in lex.languages:
-        raise ValueError(f"unknown language {lang!r}")
-    return _score_one(nt, lang, lex, cfg, cfg.p)
-
-
 def _effective_p(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> float:
     if cfg.stopword_fallback and lex.all_diacritics.isdisjoint(nt.char_freq):
         return 1.0
@@ -198,10 +136,26 @@ def _effective_p(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> flo
 
 def score_all(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> dict[str, float]:
     """Score every language, in lexicon order, with a shared effective p."""
-    if lex.n_languages < 2:
+    n_languages = lex.n_languages
+    if n_languages < 2:
         raise ValueError("classification requires at least 2 languages")
     p = _effective_p(nt, lex, cfg)
-    return {code: _score_one(nt, code, lex, cfg, p) for code in lex.codes}
+    tf = _TF[cfg.tf_mode]
+    weight = _WEIGHT[cfg.weight_mode]
+    # Every language adds its matched terms in sorted term order starting
+    # from 0.0, so each sum is reproducible across processes and runs.
+    totals = []
+    for kind, freq in ((STOPWORD, nt.token_freq), (DIACRITIC, nt.char_freq)):
+        index = lex.term_index(kind)
+        total = dict.fromkeys(lex.codes, 0.0)
+        for term in sorted(index.keys() & freq.keys()):
+            codes = index[term]
+            value = tf(freq[term]) * weight(n_languages, len(codes))
+            for code in codes:
+                total[code] += value
+        totals.append(total)
+    stop, dia = totals
+    return {code: p * stop[code] + (1.0 - p) * dia[code] for code in lex.codes}
 
 
 def classify(

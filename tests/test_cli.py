@@ -1,14 +1,20 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lexid
 from lexid import PRESETS, demo_lexicon_dir, load_lexicon
 from lexid.cli import main
 
 from test_lexicon import write_lexicon_dir
 
 DEMO = str(demo_lexicon_dir())
+SRC = str(Path(lexid.__file__).resolve().parents[1])
 
 
 @pytest.fixture()
@@ -83,6 +89,26 @@ class TestDetect:
         code, out, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test9", "--stdin"])
         assert code == 0
         assert out.splitlines() == ["a", "und", "b", "und", "a"]
+
+    def test_stdin_reader_closing_early_is_quiet(self, tmp_path, ab_dir):
+        # Far more output than a pipe holds, so the CLI is still writing
+        # when the reader goes away after the first line.
+        lines = tmp_path / "lines.txt"
+        lines.write_text("le café\n" * 100_000, encoding="utf-8")
+        argv = ["detect", "--stdin", "--lexicon", ab_dir, "--preset", "test3"]
+        with open(lines, "rb") as stdin:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "lexid.cli", *argv],
+                stdin=stdin,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+            assert proc.stdout.readline() == b"a\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0
+        assert stderr == b""
 
     def test_file_input(self, capsys, tmp_path, ab_dir):
         src = tmp_path / "lines.txt"

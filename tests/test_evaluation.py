@@ -175,6 +175,18 @@ class TestEvaluate:
         for fmt in ("table", "csv", "json"):
             assert emit_report(sequential, fmt) == emit_report(parallel, fmt)
 
+    def test_results_out_of_order_are_rejected(self, ab_lex, monkeypatch):
+        import lexid.evaluation
+
+        def reversed_chunk(task):
+            documents, _, _ = task
+            return [(doc.id, doc.gold, None) for doc in reversed(documents)]
+
+        monkeypatch.setattr(lexid.evaluation, "_classify_chunk", reversed_chunk)
+        corpus = make_corpus([("a", "le"), ("b", "el")])
+        with pytest.raises(RuntimeError, match="arrived in place of"):
+            evaluate(corpus, ab_lex, preset_config("test3"))
+
     def test_empty_corpus(self, ab_lex):
         report = evaluate([], ab_lex, preset_config("test3"))
         assert report.overall_accuracy == 0.0

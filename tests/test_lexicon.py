@@ -13,7 +13,6 @@ from lexid import (
     load_lexicon,
     save_lexicon,
     strip_diacritics,
-    term_language_count,
     validate_lexicon,
 )
 
@@ -52,13 +51,14 @@ class TestBuiltinDiacritics:
 
 class TestTermLanguageCount:
     def test_shared_diacritic(self, diacritics_only_lex):
-        assert term_language_count(diacritics_only_lex, "é") == 4  # fr, it, pt, es
+        assert diacritics_only_lex.languages_with("é", DIACRITIC) == {"fr", "it", "pt", "es"}
 
     def test_unique_diacritic(self, diacritics_only_lex):
-        assert term_language_count(diacritics_only_lex, "ñ") == 1
+        assert diacritics_only_lex.languages_with("ñ", DIACRITIC) == {"es"}
 
     def test_absent_term(self, diacritics_only_lex):
-        assert term_language_count(diacritics_only_lex, "zzz") == 0
+        for kind in (STOPWORD, DIACRITIC):
+            assert diacritics_only_lex.languages_with("zzz", kind) == frozenset()
 
     def test_namespaces_are_separate(self):
         # "y" as a stop word of one language and a diacritic of another
@@ -69,9 +69,12 @@ class TestTermLanguageCount:
                 "z": LanguageLexicon(frozenset(), frozenset({"y"})),
             }
         )
-        assert term_language_count(lex, "y", STOPWORD) == 1
-        assert term_language_count(lex, "y", DIACRITIC) == 1
-        assert term_language_count(lex, "y") == 2
+        assert lex.languages_with("y", STOPWORD) == {"x"}
+        assert lex.languages_with("y", DIACRITIC) == {"z"}
+        assert dict(lex.term_index(STOPWORD)) == {"y": frozenset({"x"})}
+        assert dict(lex.term_index(DIACRITIC)) == {"y": frozenset({"z"})}
+        with pytest.raises(TypeError):
+            lex.term_index(STOPWORD)["w"] = frozenset({"x"})
 
 
 class TestStripDiacritics:
@@ -238,10 +241,10 @@ class TestConstructorInvariants:
     def test_index_spread_bounds(self, demo_lex):
         for code in demo_lex.codes:
             for word in demo_lex.languages[code].stopwords:
-                n = term_language_count(demo_lex, word, STOPWORD)
+                n = len(demo_lex.languages_with(word, STOPWORD))
                 assert 1 <= n <= demo_lex.n_languages
             for ch in demo_lex.languages[code].diacritics:
-                n = term_language_count(demo_lex, ch, DIACRITIC)
+                n = len(demo_lex.languages_with(ch, DIACRITIC))
                 assert 1 <= n <= demo_lex.n_languages
 
 

@@ -2,7 +2,7 @@ import unicodedata
 
 from hypothesis import given, strategies as st
 
-from lexid import diacritic_count, normalize_text, token_count
+from lexid import normalize_text
 
 # Letters of the supported languages, both cases; upper/lower round-trips
 # cleanly for all of them (no ß-style expansions).
@@ -51,25 +51,25 @@ class TestNormalizeExamples:
 
 class TestCounts:
     def test_diacritic_count_present(self):
-        assert diacritic_count(normalize_text("allí estaré"), "é") == 1
+        assert normalize_text("allí estaré").char_freq["é"] == 1
 
     def test_diacritic_count_absent(self):
-        assert diacritic_count(normalize_text("abc"), "é") == 0
+        assert "é" not in normalize_text("abc").char_freq
 
     def test_diacritic_count_recount(self):
         nt = normalize_text("ţară ţel")
-        assert diacritic_count(nt, "ţ") == 2
+        assert nt.char_freq["ţ"] == 2
         # brute-force recount over the tokens themselves
         assert sum(tok.count("ţ") for tok in nt.tokens) == 2
 
     def test_token_count_direct(self):
-        assert token_count(normalize_text("la casa la"), "la") == 2
+        assert normalize_text("la casa la").token_freq["la"] == 2
 
     def test_token_count_never_substring(self):
-        assert token_count(normalize_text("lala"), "la") == 0
+        assert "la" not in normalize_text("lala").token_freq
 
     def test_token_count_single_letter_word(self):
-        assert token_count(normalize_text("il y a plongé son visage"), "y") == 1
+        assert normalize_text("il y a plongé son visage").token_freq["y"] == 1
 
 
 class TestProperties:

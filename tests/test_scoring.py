@@ -4,61 +4,58 @@ import random
 import pytest
 
 from lexid import (
-    DIACRITIC,
     LanguageLexicon,
     LexiconSet,
     NO_EVIDENCE,
     PRESETS,
-    STOPWORD,
     ScoringConfig,
     TIE,
     classify,
     normalize_text,
     preset_config,
     score_all,
-    score_language,
-    tf,
-    weight,
 )
 
 from _oracle import rescan_scores, rescan_verdict
 from _synth import random_instance
 
 
+def one_term_scores(text, lex, p=0.0, tf_mode="raw", weight_mode="unit"):
+    """``score_all`` of a short text; p=0 scores diacritics alone."""
+    return score_all(normalize_text(text), lex, ScoringConfig(p, tf_mode, weight_mode))
+
+
 class TestTermFrequency:
-    def test_zero_both_modes(self):
-        assert tf(0, "raw") == 0.0
-        assert tf(0, "log") == 0.0
+    def test_zero_both_modes(self, diacritics_only_lex):
+        for mode in ("raw", "log"):
+            scores = one_term_scores("abc", diacritics_only_lex, tf_mode=mode)
+            assert all(v == 0.0 for v in scores.values())
 
-    def test_raw_is_count(self):
-        assert tf(2, "raw") == 2.0
+    def test_raw_is_count(self, diacritics_only_lex):
+        assert one_term_scores("ññ", diacritics_only_lex)["es"] == 2.0
 
-    def test_log_is_log1p(self):
-        assert tf(1, "log") == pytest.approx(0.6931471805599453, abs=1e-15)
+    def test_log_is_log1p(self, diacritics_only_lex):
+        value = one_term_scores("ñ", diacritics_only_lex, tf_mode="log")["es"]
+        assert value == pytest.approx(0.6931471805599453, abs=1e-15)
 
 
 class TestWeight:
     def test_ratio_unique_term(self, diacritics_only_lex):
-        assert weight("ñ", DIACRITIC, "es", diacritics_only_lex, "ratio") == 5.0
+        assert one_term_scores("ñ", diacritics_only_lex, weight_mode="ratio")["es"] == 5.0
 
     def test_unit_always_one(self, diacritics_only_lex):
-        assert weight("é", DIACRITIC, "fr", diacritics_only_lex, "unit") == 1.0
+        assert one_term_scores("é", diacritics_only_lex)["fr"] == 1.0
 
     def test_log_ratio_shared_term(self, diacritics_only_lex):
         # é sits in 4 of the 5 built-in sets
-        value = weight("é", DIACRITIC, "es", diacritics_only_lex, "log_ratio")
-        assert value == pytest.approx(0.8109302162163288, abs=1e-15)
+        scores = one_term_scores("é", diacritics_only_lex, weight_mode="log_ratio")
+        for lang in ("fr", "it", "pt", "es"):
+            assert scores[lang] == pytest.approx(0.8109302162163288, abs=1e-15)
+        assert scores["ro"] == 0.0
 
     def test_same_for_every_member_language(self, diacritics_only_lex):
-        values = {
-            lang: weight("é", DIACRITIC, lang, diacritics_only_lex, "ratio")
-            for lang in ("fr", "it", "pt", "es")
-        }
-        assert len(set(values.values())) == 1
-
-    def test_membership_contract(self, diacritics_only_lex):
-        with pytest.raises(ValueError, match="not in language"):
-            weight("é", DIACRITIC, "ro", diacritics_only_lex, "ratio")
+        scores = one_term_scores("é", diacritics_only_lex, weight_mode="ratio")
+        assert len({scores[lang] for lang in ("fr", "it", "pt", "es")}) == 1
 
     def test_ratio_fully_shared_is_one(self):
         lex = LexiconSet(
@@ -67,15 +64,16 @@ class TestWeight:
                 "y": LanguageLexicon(frozenset({"la"}), frozenset()),
             }
         )
-        assert weight("la", STOPWORD, "x", lex, "ratio") == 1.0
+        assert one_term_scores("la", lex, p=1.0, weight_mode="ratio") == {"x": 1.0, "y": 1.0}
 
 
 class TestScoreLanguage:
     def test_two_language_example(self, ab_lex):
         nt = normalize_text("le café")
         cfg = ScoringConfig(p=0.5, tf_mode="raw", weight_mode="ratio")
-        assert score_language(nt, "a", ab_lex, cfg) == pytest.approx(2.0, abs=1e-12)
-        assert score_language(nt, "b", ab_lex, cfg) == 0.0
+        scores = score_all(nt, ab_lex, cfg)
+        assert scores["a"] == pytest.approx(2.0, abs=1e-12)
+        assert scores["b"] == 0.0
 
     def test_empty_text_scores_zero(self, demo_lex):
         nt = normalize_text("")
@@ -91,12 +89,7 @@ class TestScoreLanguage:
                 "b": LanguageLexicon(ab_lex.languages["b"].stopwords, frozenset()),
             }
         )
-        for lang in ("a", "b"):
-            assert score_language(nt, lang, ab_lex, cfg) == score_language(nt, lang, other, cfg)
-
-    def test_unknown_language(self, ab_lex):
-        with pytest.raises(ValueError, match="unknown language"):
-            score_language(normalize_text("le"), "zz", ab_lex, ScoringConfig(p=1.0))
+        assert score_all(nt, ab_lex, cfg) == score_all(nt, other, cfg)
 
 
 class TestScoreAll:
