@@ -81,22 +81,34 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
 
     ``tsv`` lines are ``label<TAB>text`` (tabs after the first stay in
     the text); ``jsonl`` lines are objects with string fields ``label``
-    and ``text``.  Structurally malformed lines and lines with an empty
-    label or text are skipped with a logged warning carrying the line
-    number; when malformed lines exceed 10% of the file,
-    :class:`CorpusFormatError` is raised.
+    and ``text``.  Lines end at ``\n``; a ``\r`` before it is dropped.
+    Labels are trimmed and lowercased, as
+    :func:`~lexid.lexicon.load_lexicon` lowercases language directory
+    names, so ``FR`` and ``fr`` name one language.  Lines that are not
+    valid UTF-8 or are structurally malformed are counted as malformed
+    and, like lines with an empty label or text, skipped with a logged
+    ``path:line`` warning; when malformed lines exceed 10% of the
+    non-blank lines, :class:`CorpusFormatError` is raised.
     """
     if format not in ("tsv", "jsonl"):
         raise ValueError(f"unknown corpus format {format!r}")
     documents: list[LabeledDocument] = []
     malformed = 0
     total = 0
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.rstrip("\r\n")
-            if not line:
+    with open(path, "rb") as handle:
+        for line_no, data in enumerate(handle, 1):
+            data = data.rstrip(b"\r\n")
+            if not data:
                 continue
             total += 1
+            try:
+                line = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                logger.warning(
+                    "%s:%d: invalid UTF-8 at byte %d, skipped", path, line_no, exc.start + 1
+                )
+                malformed += 1
+                continue
             parsed = _parse_line(line, format, path, line_no)
             if parsed is None:
                 malformed += 1
@@ -105,7 +117,9 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
             if not label.strip() or not text.strip():
                 logger.warning("%s:%d: empty label or text, skipped", path, line_no)
                 continue
-            documents.append(LabeledDocument(gold=label, text=text, id=len(documents)))
+            documents.append(
+                LabeledDocument(gold=label.lower(), text=text, id=len(documents))
+            )
     if total and malformed / total > MAX_MALFORMED_FRACTION:
         raise CorpusFormatError(
             f"{path}: {malformed} of {total} lines malformed (more than 10%)"

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from .normalize import normalize_text
+from .normalize import _tokens
 
 logger = logging.getLogger(__name__)
 
@@ -169,7 +169,7 @@ class LexiconSet:
 
 def _check_entries(code: str, lexicon: LanguageLexicon) -> None:
     for word in lexicon.stopwords:
-        if normalize_text(word).tokens != (word,):
+        if _tokens(word) != [word]:
             raise LexiconError(
                 f"language {code!r}: stop word {word!r} is not a single "
                 "normalized token"
@@ -297,7 +297,7 @@ def _iter_terms(path: Path):
 def _read_stopwords(path: Path, warnings_to: list[Finding] | None) -> list[str]:
     words = []
     for line_no, term in _iter_terms(path):
-        tokens = normalize_text(term).tokens
+        tokens = _tokens(term)
         if len(tokens) != 1:
             raise LexiconError(
                 f"{path}:{line_no}: stop word line {term!r} is not a single word"

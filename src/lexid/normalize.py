@@ -1,11 +1,13 @@
 """Text canonicalization for dictionary-based language scoring.
 
 Raw UTF-8 text is reduced to lowercase, canonically composed (NFC) word
-tokens that contain only Unicode letters.  URL-like chunks are dropped
-whole, leading ``#``/``@`` sigils are stripped, and every other
-non-letter character acts as a token separator.  The result also carries
-character and token occurrence counts so scoring can look up term
-frequencies in constant time.
+tokens that contain only Unicode letters, in one regular-expression pass
+over the whole text.  Whitespace-separated chunks that look like URLs
+are dropped whole, leading ``#``/``@`` sigils are stripped, and every
+other non-letter character acts as a token separator: digits,
+punctuation, symbols, ``_`` and non-letter numerics such as ``²`` and
+``½`` alike.  The result also carries character and token occurrence
+counts so scoring can look up term frequencies in constant time.
 """
 
 from __future__ import annotations
@@ -16,8 +18,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 
-# A chunk is URL-like when it starts with an RFC-3986 scheme or "www."
-_URL_RE = re.compile(r"^(?:[a-z][a-z0-9+.-]*://|www\.)")
+# Tried in this order at every position of the lowered text:
+#   1. a URL chunk: at a whitespace boundary, any ``#``/``@`` sigils,
+#      then an RFC-3986 scheme or "www."; it consumes the rest of the
+#      chunk and captures nothing;
+#   2. a captured run of word characters that are neither decimal
+#      digits nor "_".  That class is every ``str.isalpha`` character
+#      plus non-letter numerics such as "²" and "½", which
+#      ``_tokens`` splits out again.
+_TOKEN_RE = re.compile(r"(?<!\S)[#@]*(?:[a-z][a-z0-9+.-]*://|www\.)\S*|([^\W\d_]+)")
 
 
 @dataclass(frozen=True)
@@ -39,11 +48,22 @@ class NormalizedText:
     raw_length: int = field(compare=False)
 
 
-def _letter_runs(chunk: str):
-    """Yield maximal runs of Unicode letters within ``chunk``."""
-    for is_alpha, run in groupby(chunk, key=str.isalpha):
-        if is_alpha:
-            yield "".join(run)
+def _tokens(raw: str) -> list[str]:
+    """The letter tokens of ``raw``, in order: steps 1-3 of :func:`normalize_text`."""
+    lowered = unicodedata.normalize("NFC", raw.lower())
+    tokens = [run for run in _TOKEN_RE.findall(lowered) if run]
+    if "".join(tokens).isalpha():
+        return tokens
+    # Some run holds a non-letter numeric: split just those runs on it.
+    letters: list[str] = []
+    for run in tokens:
+        if run.isalpha():
+            letters.append(run)
+        else:
+            letters.extend(
+                "".join(part) for is_alpha, part in groupby(run, str.isalpha) if is_alpha
+            )
+    return letters
 
 
 def normalize_text(raw: str) -> NormalizedText:
@@ -53,29 +73,21 @@ def normalize_text(raw: str) -> NormalizedText:
 
     1. lowercase, then compose to NFC so decomposed accents (base letter
        plus combining mark) compare equal to their single-codepoint form;
-    2. split on whitespace, strip leading ``#``/``@`` from each chunk and
-       drop chunks that look like URLs (``scheme://...`` or ``www.``);
-    3. split the surviving chunks into runs of letters; digits,
-       punctuation and symbols act as separators.
+    2. in one left-to-right pass, drop every whitespace-separated chunk
+       that, after leading ``#``/``@`` sigils, starts with a URL scheme
+       (``scheme://``) or ``www.``, and collect the maximal runs of
+       letters everywhere else;
+    3. split any run holding a non-letter numeric (``²``, ``½``, ...) on
+       it, so that only letters remain: digits, ``_``, punctuation,
+       symbols and the sigils themselves all separate tokens.
 
     Empty or all-noise input yields an empty ``NormalizedText``; this
     function never raises.
     """
-    lowered = unicodedata.normalize("NFC", raw.lower())
-    tokens: list[str] = []
-    for chunk in lowered.split():
-        chunk = chunk.lstrip("#@")
-        if not chunk or _URL_RE.match(chunk):
-            continue
-        tokens.extend(_letter_runs(chunk))
-
-    char_freq: Counter[str] = Counter()
-    for token in tokens:
-        char_freq.update(token)
+    tokens = _tokens(raw)
     return NormalizedText(
         tokens=tuple(tokens),
-        char_freq=dict(char_freq),
+        char_freq=dict(Counter("".join(tokens))),
         token_freq=dict(Counter(tokens)),
         raw_length=len(raw),
     )
-

@@ -77,7 +77,9 @@ def random_instance(rng: random.Random):
         diacritics = {rng.choice(ACCENTED_LETTERS) for _ in range(rng.randint(0, 2))}
         languages[f"l{i}"] = (stopwords, diacritics)
 
-    pool = [w for stopwords, _ in languages.values() for w in stopwords]
+    # Sorted, so the pool (and every draw from it) does not depend on
+    # the per-process string hash order of the sets.
+    pool = [w for stopwords, _ in languages.values() for w in sorted(stopwords)]
     pool += list(NOISE_WORDS)
     pool += [
         rng.choice(WORD_LETTERS) + rng.choice(ACCENTED_LETTERS) + rng.choice(WORD_LETTERS)

@@ -238,6 +238,40 @@ class TestEvaluate:
         assert code == 4
         assert "malformed" in err
 
+    def test_invalid_utf8_below_threshold_is_skipped(self, capsys, caplog, ab_dir, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes("a\tle café\n".encode() * 10 + b"b\tel \xff\n")
+        code, _, err = run(
+            capsys,
+            ["evaluate", "--lexicon", ab_dir, "--corpus", str(path), "--format", "tsv",
+             "--preset", "test3"],
+        )
+        assert code == 0
+        assert "over 10 documents" in err
+        assert f"{path}:11: invalid UTF-8" in caplog.text
+
+    def test_invalid_utf8_above_threshold_exit_code(self, capsys, ab_dir, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes("a\tle café\n".encode() * 8 + b"b\tel \xff\n" * 2)
+        code, _, err = run(
+            capsys,
+            ["evaluate", "--lexicon", ab_dir, "--corpus", str(path), "--format", "tsv",
+             "--preset", "test3"],
+        )
+        assert code == 4
+        assert "2 of 10 lines malformed" in err
+
+    def test_gold_labels_are_case_insensitive(self, capsys, ab_dir, corpus_tsv, tmp_path):
+        upper = tmp_path / "upper.tsv"
+        upper.write_text(Path(corpus_tsv).read_text(encoding="utf-8").upper(), encoding="utf-8")
+        base = ["evaluate", "--lexicon", ab_dir, "--format", "tsv", "--preset", "test9",
+                "--report", "json"]
+        code, out_upper, _ = run(capsys, base + ["--corpus", str(upper)])
+        assert code == 0
+        _, out_lower, _ = run(capsys, base + ["--corpus", corpus_tsv])
+        assert out_upper == out_lower
+        assert json.loads(out_upper)["confusion"].keys() == {"a", "b"}
+
     def test_missing_corpus_is_io_error(self, capsys, ab_dir, tmp_path):
         code, _, _ = run(
             capsys,

@@ -62,6 +62,27 @@ class TestLoadCorpusTsv:
         docs = load_corpus(write(tmp_path / "c.tsv", content), "tsv")
         assert [d.id for d in docs] == [0, 1, 2]
 
+    def test_labels_are_lowercased(self, tmp_path):
+        content = "FR\tun\n It \tdue\n"
+        docs = load_corpus(write(tmp_path / "c.tsv", content), "tsv")
+        assert [d.gold for d in docs] == ["fr", "it"]
+
+    def test_invalid_utf8_line_is_skipped_and_counted(self, tmp_path, caplog):
+        path = tmp_path / "c.tsv"
+        good = "".join(f"fr\ttexte {i}\n" for i in range(10)).encode()
+        path.write_bytes(b"fr\tcaf\xe9\n" + good + "it\tcittà\r\n".encode())
+        with caplog.at_level(logging.WARNING, logger="lexid.evaluation"):
+            docs = load_corpus(path, "tsv")
+        assert [d.text for d in docs] == [f"texte {i}" for i in range(10)] + ["città"]
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [f"{path}:1: invalid UTF-8 at byte 7, skipped"]
+
+    def test_too_many_invalid_utf8_lines_abort(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"fr\tok\n" + b"fr\t\xff\n" * 3)
+        with pytest.raises(CorpusFormatError, match="3 of 4 lines malformed"):
+            load_corpus(path, "tsv")
+
 
 class TestLoadCorpusJsonl:
     def test_basic_object(self, tmp_path):
