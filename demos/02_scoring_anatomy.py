@@ -7,7 +7,6 @@ from lexid import (
     DIACRITIC,
     PRESETS,
     ScoringConfig,
-    builtin_diacritics,
     demo_lexicon_dir,
     load_lexicon,
     normalize_text,
@@ -39,7 +38,7 @@ print()
 # ratio weights are 5/1 and 5/4.  A one-character text has raw tf 1,
 # so its score is the weight itself.
 for ch, lang in (("ñ", "es"), ("é", "fr"), ("à", "fr")):
-    n = len(lex.languages_with(ch, DIACRITIC))
+    n = len(lex.term_index(DIACRITIC)[ch])
     ratio = diacritic_score(ch, lang, weight_mode="ratio")
     log_ratio = diacritic_score(ch, lang, weight_mode="log_ratio")
     print(f"{ch}: listed by {n} languages  N/n={ratio:.2f}  ln(1+N/n)={log_ratio:.3f}")
@@ -73,7 +72,7 @@ for name, cfg in PRESETS.items():
         f"{'on' if cfg.stopword_fallback else 'off'}"
     )
 
-# The five diacritic sets ship with the package:
+# The five diacritic sets ship with the package, in the demo lexicon:
 print()
-for code, chars in builtin_diacritics().items():
-    print(f"{code}: {' '.join(sorted(chars))}")
+for code, lexicon in lex.languages.items():
+    print(f"{code}: {' '.join(sorted(lexicon.diacritics))}")

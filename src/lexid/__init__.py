@@ -19,7 +19,6 @@ from .evaluation import (
     load_corpus,
 )
 from .lexicon import (
-    BUILTIN_DIACRITICS,
     DIACRITIC,
     FOLDING_TABLE,
     Finding,
@@ -28,7 +27,6 @@ from .lexicon import (
     LexiconSet,
     STOPWORD,
     augment_with_stripped_variants,
-    builtin_diacritics,
     demo_lexicon_dir,
     load_lexicon,
     save_lexicon,
@@ -51,7 +49,6 @@ from .scoring import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_DIACRITICS",
     "ConfusionMatrix",
     "CorpusFormatError",
     "DIACRITIC",
@@ -72,7 +69,6 @@ __all__ = [
     "UNCLASSIFIED",
     "Verdict",
     "augment_with_stripped_variants",
-    "builtin_diacritics",
     "classify",
     "demo_lexicon_dir",
     "emit_report",

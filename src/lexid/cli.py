@@ -11,6 +11,7 @@ defaults to the ``LID_LEXICON`` environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -20,9 +21,10 @@ from pathlib import Path
 
 from .evaluation import CorpusFormatError, emit_report, evaluate, load_corpus
 from .lexicon import (
-    BUILTIN_DIACRITICS,
     LexiconError,
+    _iter_terms,
     augment_with_stripped_variants,
+    demo_lexicon_dir,
     load_lexicon,
     save_lexicon,
     strip_diacritics,
@@ -102,10 +104,10 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
         raise UsageError(f"lexid: error: {exc}") from None
 
 
-def _require_lexicon(args: argparse.Namespace):
+def _require_lexicon(args: argparse.Namespace, warnings_to=None):
     if not args.lexicon:
         raise UsageError("lexid: error: --lexicon is required (or set LID_LEXICON)")
-    return load_lexicon(args.lexicon)
+    return load_lexicon(args.lexicon, warnings_to)
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -117,26 +119,29 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     lex = _require_lexicon(args)
     cfg = _resolve_config(args)
 
-    if args.stdin:
-        inputs = (line.rstrip("\n") for line in sys.stdin)
-    elif args.file is not None:
-        with open(args.file, encoding="utf-8") as handle:
-            inputs = [line.rstrip("\n") for line in handle]
-    else:
-        inputs = [args.text]
-
-    for text in inputs:
-        verdict, scores = classify(normalize_text(text), lex, cfg)
-        label = verdict.language or UNDETERMINED
-        if args.scores:
-            print(
-                json.dumps(
-                    {"language": label, "reason": verdict.reason, "scores": scores},
-                    ensure_ascii=False,
-                )
+    with contextlib.ExitStack() as stack:
+        if args.stdin:
+            lines = sys.stdin
+        elif args.file is not None:
+            # Decode as sys.stdin does in UTF-8 mode: an invalid byte
+            # becomes a lone surrogate, which separates tokens.
+            lines = stack.enter_context(
+                open(args.file, encoding="utf-8", errors="surrogateescape")
             )
         else:
-            print(label)
+            lines = [args.text]
+        for line in lines:
+            verdict, scores = classify(normalize_text(line.rstrip("\n")), lex, cfg)
+            label = verdict.language or UNDETERMINED
+            if args.scores:
+                print(
+                    json.dumps(
+                        {"language": label, "reason": verdict.reason, "scores": scores},
+                        ensure_ascii=False,
+                    )
+                )
+            else:
+                print(label)
     return EXIT_OK
 
 
@@ -163,14 +168,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_dict(args: argparse.Namespace) -> int:
     if args.action == "strip":
-        lines = []
-        with open(args.in_path, encoding="utf-8") as handle:
-            for line in handle:
-                term = line.strip()
-                if not term or term.startswith("#"):
-                    continue
-                lines.append(strip_diacritics(term))
-        Path(args.out).write_text("".join(f"{w}\n" for w in lines), encoding="utf-8")
+        words = [strip_diacritics(term) for _, term in _iter_terms(Path(args.in_path))]
+        Path(args.out).write_text("".join(f"{w}\n" for w in words), encoding="utf-8")
         return EXIT_OK
     if args.action == "augment":
         lex = _require_lexicon(args)
@@ -178,9 +177,7 @@ def _cmd_dict(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.action == "validate":
         findings = []
-        lex = load_lexicon(args.lexicon, warnings_to=findings) if args.lexicon else None
-        if lex is None:
-            raise UsageError("lexid: error: --lexicon is required (or set LID_LEXICON)")
+        lex = _require_lexicon(args, warnings_to=findings)
         findings.extend(validate_lexicon(lex))
         for finding in findings:
             print(finding)
@@ -188,8 +185,9 @@ def _cmd_dict(args: argparse.Namespace) -> int:
             return EXIT_LEXICON
         return EXIT_OK
     # show-builtin-diacritics
-    for code, chars in BUILTIN_DIACRITICS.items():
-        print(f"{code}\t{chars}")
+    for lang_dir in sorted(p for p in demo_lexicon_dir().iterdir() if p.is_dir()):
+        letters = "".join(term for _, term in _iter_terms(lang_dir / "diacritics.txt"))
+        print(f"{lang_dir.name}\t{letters}")
     return EXIT_OK
 
 
@@ -242,7 +240,9 @@ def _build_parser() -> _Parser:
     augment.add_argument("--out", required=True, help="output lexicon directory")
     validate = actions.add_parser("validate", help="report lexicon weaknesses")
     _add_lexicon_flag(validate)
-    actions.add_parser("show-builtin-diacritics", help="print the built-in diacritic sets")
+    actions.add_parser(
+        "show-builtin-diacritics", help="print the diacritic sets of the shipped lexicon"
+    )
     dict_cmd.set_defaults(func=_cmd_dict)
 
     presets = commands.add_parser("presets", help="list the stock configurations")

@@ -12,10 +12,14 @@ On disk a lexicon is a directory with one subdirectory per language::
     <root>/<lang>/stopwords.txt     one word per line
     <root>/<lang>/diacritics.txt    one character per line
 
-Files are UTF-8; surrounding whitespace is trimmed, blank lines and
-lines starting with ``#`` are ignored.  Entries must be lowercase and
-canonically composed; the loader normalizes them itself and emits a
-warning for anything it had to change.
+Files are UTF-8, and lines end at ``\n``; surrounding whitespace is
+trimmed, blank lines and lines starting with ``#`` are ignored.  A stop
+word is one normalized token (:func:`lexid.normalize.normalize_text`)
+and a diacritic one letter; both are lowercase and canonically composed
+(NFC).  The loader normalizes each entry itself and warns about any it
+had to change; :class:`LexiconSet` accepts only entries already in that
+form.  The shipped ``data/demo`` lexicon holds the built-in diacritic
+sets of the five supported languages.
 """
 
 from __future__ import annotations
@@ -35,17 +39,6 @@ logger = logging.getLogger(__name__)
 # Term-index namespaces.
 STOPWORD = "stopword"
 DIACRITIC = "diacritic"
-
-# Special characters per language.  The Romanian row carries both the
-# comma-below letters and their legacy cedilla spellings, because both
-# occur in real-world text.
-BUILTIN_DIACRITICS: dict[str, str] = {
-    "fr": "àâæçèéêëîïôœùûü",
-    "it": "àáèéìíòóùú",
-    "pt": "áâãàçéêíóôõú",
-    "ro": "ăâîșşțţ",
-    "es": "áéíóúñü",
-}
 
 # Accent-folding table used to derive plain-ASCII spellings of stop
 # words.  œ/æ fold to their two-letter expansions; anything not listed
@@ -85,8 +78,8 @@ class LanguageLexicon:
     """Stop words and diacritics of a single language.
 
     Stop words must be single, lowercase, NFC-composed word tokens;
-    diacritics must be single alphabetic characters.  Construct through
-    :class:`LexiconSet`, which enforces both.
+    diacritics must be single lowercase, NFC-composed letters.  Construct
+    through :class:`LexiconSet`, which enforces both.
     """
 
     stopwords: frozenset[str]
@@ -107,7 +100,11 @@ class LexiconSet:
         for code, lexicon in languages.items():
             if not code:
                 raise LexiconError("empty language code")
-            _check_entries(code, lexicon)
+            for kind, terms in ((STOPWORD, lexicon.stopwords), (DIACRITIC, lexicon.diacritics)):
+                for term in terms:
+                    if not _is_canonical(kind, term):
+                        message = _NOT_CANONICAL[kind].format(term)
+                        raise LexiconError(f"language {code!r}: {message}")
             self._languages[code] = lexicon
 
         index: dict[str, dict[str, set[str]]] = {STOPWORD: {}, DIACRITIC: {}}
@@ -143,10 +140,6 @@ class LexiconSet:
         """Read-only ``term -> languages listing it`` map of one namespace."""
         return MappingProxyType(self._index[kind])
 
-    def languages_with(self, term: str, kind: str) -> frozenset[str]:
-        """Languages whose ``kind`` dictionary lists ``term``."""
-        return self._index[kind].get(term, frozenset())
-
     def fingerprint(self) -> str:
         """Stable hex digest of the full lexicon content."""
         digest = hashlib.sha256()
@@ -167,23 +160,38 @@ class LexiconSet:
         return f"LexiconSet({', '.join(self.codes)})"
 
 
-def _check_entries(code: str, lexicon: LanguageLexicon) -> None:
-    for word in lexicon.stopwords:
-        if _tokens(word) != [word]:
-            raise LexiconError(
-                f"language {code!r}: stop word {word!r} is not a single "
-                "normalized token"
-            )
-    for ch in lexicon.diacritics:
-        if len(ch) != 1 or not ch.isalpha():
-            raise LexiconError(
-                f"language {code!r}: diacritic {ch!r} is not a single letter"
-            )
+def _entry(kind: str, term: str) -> str:
+    """The canonical form of one dictionary entry of ``kind``.
+
+    A stop word becomes its single :func:`~lexid.normalize._tokens`
+    token and a diacritic its lowercased NFC letter; a term without such
+    a form raises :class:`LexiconError`.
+    """
+    if kind == STOPWORD:
+        tokens = _tokens(term)
+        if len(tokens) != 1:
+            raise LexiconError(f"stop word {term!r} is not a single word")
+        return tokens[0]
+    letter = unicodedata.normalize("NFC", term.lower())
+    if len(letter) != 1:
+        raise LexiconError(f"multi-character diacritic {term!r}")
+    if not letter.isalpha():
+        raise LexiconError(f"diacritic {term!r} is not a letter")
+    return letter
 
 
-def builtin_diacritics() -> dict[str, frozenset[str]]:
-    """Built-in diacritic sets for the five supported Romance languages."""
-    return {code: frozenset(chars) for code, chars in BUILTIN_DIACRITICS.items()}
+#: Why :class:`LexiconSet` rejects an entry :func:`_entry` would change or reject.
+_NOT_CANONICAL = {
+    STOPWORD: "stop word {!r} is not a single normalized token",
+    DIACRITIC: "diacritic {!r} is not a single letter in lowercase NFC",
+}
+
+
+def _is_canonical(kind: str, term: str) -> bool:
+    try:
+        return _entry(kind, term) == term
+    except LexiconError:
+        return False
 
 
 def strip_diacritics(term: str) -> str:
@@ -250,11 +258,12 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
     """Load and validate a lexicon directory.
 
     Languages are read in sorted directory order.  Structural problems
-    (missing files, multi-word stop-word lines, multi-character diacritic
-    lines, duplicate codes, no languages at all) raise
-    :class:`LexiconError` with file and line context.  Entries the loader
-    had to normalize are logged and, when ``warnings_to`` is given, also
-    appended to it as :class:`Finding` objects.
+    (missing files, lines that are not valid UTF-8, multi-word stop-word
+    lines, multi-character diacritic lines, duplicate codes, no languages
+    at all) raise :class:`LexiconError` with file and line context.
+    Entries the loader had to normalize are logged and, when
+    ``warnings_to`` is given, also appended to it as :class:`Finding`
+    objects.
     """
     root = Path(root)
     if not root.is_dir():
@@ -270,9 +279,10 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
         for path in (stopwords_path, diacritics_path):
             if not path.is_file():
                 raise LexiconError(f"missing lexicon file {path}")
-        stopwords = frozenset(_read_stopwords(stopwords_path, warnings_to))
-        diacritics = frozenset(_read_diacritics(diacritics_path, warnings_to))
-        languages[code] = LanguageLexicon(stopwords=stopwords, diacritics=diacritics)
+        languages[code] = LanguageLexicon(
+            stopwords=_read_entries(stopwords_path, STOPWORD, warnings_to),
+            diacritics=_read_entries(diacritics_path, DIACRITIC, warnings_to),
+        )
 
     if not languages:
         raise LexiconError(f"no language directories under {root}")
@@ -286,40 +296,33 @@ def _warn(message: str, warnings_to: list[Finding] | None) -> None:
 
 
 def _iter_terms(path: Path):
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            term = line.strip()
-            if not term or term.startswith("#"):
-                continue
+    """``(line number, term)`` of every entry line of a word-list file."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line_no = data.count(b"\n", 0, line_start) + 1
+        raise LexiconError(
+            f"{path}:{line_no}: invalid UTF-8 at byte {exc.start - line_start + 1}"
+        ) from None
+    for line_no, line in enumerate(text.split("\n"), 1):
+        term = line.strip()
+        if term and not term.startswith("#"):
             yield line_no, term
 
 
-def _read_stopwords(path: Path, warnings_to: list[Finding] | None) -> list[str]:
-    words = []
+def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None) -> frozenset[str]:
+    entries = set()
     for line_no, term in _iter_terms(path):
-        tokens = _tokens(term)
-        if len(tokens) != 1:
-            raise LexiconError(
-                f"{path}:{line_no}: stop word line {term!r} is not a single word"
-            )
-        if tokens[0] != term:
-            _warn(f"{path}:{line_no}: normalized {term!r} to {tokens[0]!r}", warnings_to)
-        words.append(tokens[0])
-    return words
-
-
-def _read_diacritics(path: Path, warnings_to: list[Finding] | None) -> list[str]:
-    chars = []
-    for line_no, term in _iter_terms(path):
-        normalized = unicodedata.normalize("NFC", term.lower())
-        if normalized != term:
-            _warn(f"{path}:{line_no}: normalized {term!r} to {normalized!r}", warnings_to)
-        if len(normalized) != 1:
-            raise LexiconError(f"{path}:{line_no}: multi-character diacritic {term!r}")
-        if not normalized.isalpha():
-            raise LexiconError(f"{path}:{line_no}: diacritic {term!r} is not a letter")
-        chars.append(normalized)
-    return chars
+        try:
+            entry = _entry(kind, term)
+        except LexiconError as exc:
+            raise LexiconError(f"{path}:{line_no}: {exc}") from None
+        if entry != term:
+            _warn(f"{path}:{line_no}: normalized {term!r} to {entry!r}", warnings_to)
+        entries.add(entry)
+    return frozenset(entries)
 
 
 def save_lexicon(lex: LexiconSet, root: str | Path) -> None:
@@ -344,9 +347,12 @@ def save_lexicon(lex: LexiconSet, root: str | Path) -> None:
 def demo_lexicon_dir() -> Path:
     """Directory of the small sample lexicon shipped with the package.
 
-    The sample covers fr/it/pt/ro/es with roughly 40 stop words each and
-    the built-in diacritic sets.  It demonstrates the lexicon format and
-    keeps the test suite self-contained; real deployments should supply
-    full stop-word lists (several hundred words per language).
+    The sample covers es/fr/it/pt/ro with roughly 40 stop words each and
+    the built-in diacritic sets, which ``lexid dict show-builtin-diacritics``
+    prints.  The Romanian set lists both the comma-below letters and their
+    legacy cedilla spellings, because both occur in real-world text.  The
+    sample demonstrates the lexicon format and keeps the test suite
+    self-contained; real deployments should supply full stop-word lists
+    (several hundred words per language).
     """
     return Path(__file__).resolve().parent / "data" / "demo"

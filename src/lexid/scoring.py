@@ -115,18 +115,6 @@ class Verdict:
     language: str | None
     reason: str | None = None
 
-    @classmethod
-    def classified(cls, language: str) -> "Verdict":
-        return cls(language=language, reason=None)
-
-    @classmethod
-    def unclassified(cls, reason: str) -> "Verdict":
-        return cls(language=None, reason=reason)
-
-    @property
-    def is_classified(self) -> bool:
-        return self.language is not None
-
 
 def _effective_p(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> float:
     if cfg.stopword_fallback and lex.all_diacritics.isdisjoint(nt.char_freq):
@@ -170,12 +158,12 @@ def classify(
     scores = score_all(nt, lex, cfg)
     best = max(scores.values())
     if best <= 0.0:
-        return Verdict.unclassified(NO_EVIDENCE), scores
+        return Verdict(None, NO_EVIDENCE), scores
     top = [
         code
         for code, value in scores.items()
         if math.isclose(value, best, rel_tol=TIE_REL_TOL, abs_tol=0.0)
     ]
     if len(top) > 1:
-        return Verdict.unclassified(TIE), scores
-    return Verdict.classified(top[0]), scores
+        return Verdict(None, TIE), scores
+    return Verdict(top[0]), scores

@@ -1,6 +1,6 @@
 import pytest
 
-from lexid import LanguageLexicon, LexiconSet, builtin_diacritics, demo_lexicon_dir, load_lexicon
+from lexid import LanguageLexicon, LexiconSet, demo_lexicon_dir, load_lexicon
 
 
 @pytest.fixture(scope="session")
@@ -9,12 +9,12 @@ def demo_lex() -> LexiconSet:
 
 
 @pytest.fixture(scope="session")
-def diacritics_only_lex() -> LexiconSet:
+def diacritics_only_lex(demo_lex) -> LexiconSet:
     """The five built-in diacritic sets with empty stop-word lists."""
     return LexiconSet(
         {
-            code: LanguageLexicon(stopwords=frozenset(), diacritics=chars)
-            for code, chars in builtin_diacritics().items()
+            code: LanguageLexicon(stopwords=frozenset(), diacritics=lexicon.diacritics)
+            for code, lexicon in demo_lex.languages.items()
         }
     )
 

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import lexid
-from lexid import PRESETS, demo_lexicon_dir, load_lexicon
+from lexid import PRESETS, classify, demo_lexicon_dir, load_lexicon, normalize_text, preset_config
 from lexid.cli import main
 
 from test_lexicon import write_lexicon_dir
@@ -96,14 +98,13 @@ class TestDetect:
         lines = tmp_path / "lines.txt"
         lines.write_text("le café\n" * 100_000, encoding="utf-8")
         argv = ["detect", "--stdin", "--lexicon", ab_dir, "--preset", "test3"]
-        with open(lines, "rb") as stdin:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "lexid.cli", *argv],
-                stdin=stdin,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                env={**os.environ, "PYTHONPATH": SRC},
-            )
+        with open(lines, "rb") as stdin, subprocess.Popen(
+            [sys.executable, "-m", "lexid.cli", *argv],
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC},
+        ) as proc:
             assert proc.stdout.readline() == b"a\n"
             proc.stdout.close()
             stderr = proc.stderr.read()
@@ -117,6 +118,38 @@ class TestDetect:
             capsys, ["detect", "--lexicon", ab_dir, "--preset", "test9", "--file", str(src)]
         )
         assert (code, out) == (0, "a\nb\n")
+
+    def test_file_and_stdin_agree_on_invalid_utf8(self, tmp_path, ab_dir):
+        data = b"le caf\xc3\xa9\n\xff el \xc3\xb1u\nla l\xffe\nzzz\n"
+        src = tmp_path / "lines.txt"
+        src.write_bytes(data)
+        argv = [sys.executable, "-X", "utf8", "-m", "lexid.cli", "detect"]
+        argv += ["--lexicon", ab_dir, "--preset", "test9"]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        by_file = subprocess.run(argv + ["--file", str(src)], capture_output=True, env=env)
+        by_stdin = subprocess.run(argv + ["--stdin"], input=data, capture_output=True, env=env)
+        assert (by_file.returncode, by_stdin.returncode) == (0, 0)
+        assert by_file.stdout == by_stdin.stdout == b"a\nb\nund\nund\n"
+
+    @given(
+        st.lists(
+            st.one_of(st.text(max_size=8), st.sampled_from(["le ", " și", "é", "ñ", " de ", "-"])),
+            max_size=8,
+        ).map("".join)
+    )
+    def test_scores_agree_with_classify(self, demo_lex, text):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["detect", "--lexicon", DEMO, "--preset", "test9", "--scores", "--", text])
+        assert code == 0
+        line, end = out.getvalue().split("\n")
+        assert end == ""
+        verdict, scores = classify(normalize_text(text), demo_lex, preset_config("test9"))
+        assert json.loads(line) == {
+            "language": verdict.language or "und",
+            "reason": verdict.reason,
+            "scores": scores,
+        }
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_equals_expanded_flags(self, capsys, ab_dir, name):
@@ -175,6 +208,13 @@ class TestDetectErrors:
         code, _, err = run(capsys, ["detect", "--lexicon", str(root), "--preset", "test9", "x"])
         assert code == 3
         assert "lexicon" in err
+
+    def test_invalid_utf8_in_lexicon(self, capsys, ab_dir):
+        with open(Path(ab_dir) / "a" / "stopwords.txt", "ab") as handle:
+            handle.write(b"de\xff\n")
+        code, out, err = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test9", "x"])
+        assert (code, out) == (3, "")
+        assert "stopwords.txt:3: invalid UTF-8 at byte 3" in err
 
     def test_unknown_preset(self, capsys, ab_dir):
         code, _, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test10", "x"])
@@ -308,6 +348,14 @@ class TestDict:
         code, _, _ = run(capsys, ["dict", "strip", "--in", str(src), "--out", str(out)])
         assert code == 0
         assert out.read_text(encoding="utf-8") == "si\nvotre\ncoeur\n"
+
+    def test_strip_invalid_utf8(self, capsys, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_bytes("și\n".encode() + b"vo\xfftre\n")
+        out = tmp_path / "out.txt"
+        code, _, err = run(capsys, ["dict", "strip", "--in", str(src), "--out", str(out)])
+        assert code == 3
+        assert f"{src}:2: invalid UTF-8 at byte 3" in err
 
     def test_augment_idempotent(self, capsys, tmp_path):
         first = tmp_path / "aug1"

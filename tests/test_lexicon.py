@@ -8,7 +8,6 @@ from lexid import (
     LexiconSet,
     STOPWORD,
     augment_with_stripped_variants,
-    builtin_diacritics,
     demo_lexicon_dir,
     load_lexicon,
     save_lexicon,
@@ -26,39 +25,45 @@ def write_lexicon_dir(root, languages):
         (d / "diacritics.txt").write_text("".join(f"{c}\n" for c in diacritics), "utf-8")
 
 
+@pytest.fixture(scope="module")
+def demo_diacritics(demo_lex):
+    """The diacritic sets of the shipped lexicon, the only built-in ones."""
+    return {code: lexicon.diacritics for code, lexicon in demo_lex.languages.items()}
+
+
 class TestBuiltinDiacritics:
-    def test_exact_sets(self):
-        sets = builtin_diacritics()
+    def test_exact_sets(self, demo_diacritics):
+        sets = demo_diacritics
         assert sets["fr"] == frozenset("àâæçèéêëîïôœùûü")
         assert sets["it"] == frozenset("àáèéìíòóùú")
         assert sets["pt"] == frozenset("áâãàçéêíóôõú")
         assert sets["ro"] == frozenset("ăâîșşțţ")
         assert sets["es"] == frozenset("áéíóúñü")
 
-    def test_romanian_has_cedilla_and_comma_variants(self):
-        ro = builtin_diacritics()["ro"]
+    def test_romanian_has_cedilla_and_comma_variants(self, demo_diacritics):
+        ro = demo_diacritics["ro"]
         assert "ş" in ro and "ș" in ro  # s-cedilla and s-comma
         assert "ţ" in ro and "ț" in ro  # t-cedilla and t-comma
 
-    def test_spanish_has_exactly_seven(self):
-        assert len(builtin_diacritics()["es"]) == 7
+    def test_spanish_has_exactly_seven(self, demo_diacritics):
+        assert len(demo_diacritics["es"]) == 7
 
-    def test_all_single_alphabetic_codepoints(self):
-        for chars in builtin_diacritics().values():
+    def test_all_single_alphabetic_codepoints(self, demo_diacritics):
+        for chars in demo_diacritics.values():
             for ch in chars:
                 assert len(ch) == 1 and ch.isalpha()
 
 
 class TestTermLanguageCount:
     def test_shared_diacritic(self, diacritics_only_lex):
-        assert diacritics_only_lex.languages_with("é", DIACRITIC) == {"fr", "it", "pt", "es"}
+        assert diacritics_only_lex.term_index(DIACRITIC)["é"] == {"fr", "it", "pt", "es"}
 
     def test_unique_diacritic(self, diacritics_only_lex):
-        assert diacritics_only_lex.languages_with("ñ", DIACRITIC) == {"es"}
+        assert diacritics_only_lex.term_index(DIACRITIC)["ñ"] == {"es"}
 
     def test_absent_term(self, diacritics_only_lex):
         for kind in (STOPWORD, DIACRITIC):
-            assert diacritics_only_lex.languages_with("zzz", kind) == frozenset()
+            assert "zzz" not in diacritics_only_lex.term_index(kind)
 
     def test_namespaces_are_separate(self):
         # "y" as a stop word of one language and a diacritic of another
@@ -69,8 +74,8 @@ class TestTermLanguageCount:
                 "z": LanguageLexicon(frozenset(), frozenset({"y"})),
             }
         )
-        assert lex.languages_with("y", STOPWORD) == {"x"}
-        assert lex.languages_with("y", DIACRITIC) == {"z"}
+        assert lex.term_index(STOPWORD)["y"] == {"x"}
+        assert lex.term_index(DIACRITIC)["y"] == {"z"}
         assert dict(lex.term_index(STOPWORD)) == {"y": frozenset({"x"})}
         assert dict(lex.term_index(DIACRITIC)) == {"y": frozenset({"z"})}
         with pytest.raises(TypeError):
@@ -141,8 +146,9 @@ class TestLoadAndSave:
     def test_demo_lexicon_loads_five_languages(self, demo_lex):
         assert demo_lex.codes == ("es", "fr", "it", "pt", "ro")
         assert demo_lex.n_languages == 5
-        for code, chars in builtin_diacritics().items():
-            assert demo_lex.languages[code].diacritics == chars
+        for code in demo_lex.codes:
+            listed = (demo_lexicon_dir() / code / "diacritics.txt").read_text("utf-8").split()
+            assert demo_lex.languages[code].diacritics == frozenset(listed)
 
     def test_single_language_loads(self, tmp_path):
         write_lexicon_dir(tmp_path, {"fr": (["le"], ["é"])})
@@ -157,6 +163,13 @@ class TestLoadAndSave:
     def test_multi_word_stopword_line(self, tmp_path):
         write_lexicon_dir(tmp_path, {"fr": (["bon jour"], ["é"])})
         with pytest.raises(LexiconError, match=r"stopwords\.txt:1.*single word"):
+            load_lexicon(tmp_path)
+
+    def test_invalid_utf8_line(self, tmp_path):
+        write_lexicon_dir(tmp_path, {"fr": (["le"], ["é"])})
+        with open(tmp_path / "fr" / "stopwords.txt", "ab") as handle:
+            handle.write(b"\xff\n")
+        with pytest.raises(LexiconError, match=r"stopwords\.txt:2: invalid UTF-8 at byte 1"):
             load_lexicon(tmp_path)
 
     def test_missing_file(self, tmp_path):
@@ -220,6 +233,10 @@ class TestConstructorInvariants:
         with pytest.raises(LexiconError, match="not a single letter"):
             LexiconSet({"x": LanguageLexicon(frozenset(), frozenset({"ab"}))})
 
+    def test_rejects_unnormalized_diacritic(self):
+        with pytest.raises(LexiconError, match="not a single letter"):
+            LexiconSet({"x": LanguageLexicon(frozenset(), frozenset({"É"}))})
+
     def test_rejects_empty_mapping(self):
         with pytest.raises(LexiconError):
             LexiconSet({})
@@ -228,23 +245,19 @@ class TestConstructorInvariants:
         rebuilt = LexiconSet(dict(demo_lex.languages))
         for code in demo_lex.codes:
             for word in demo_lex.languages[code].stopwords:
-                assert rebuilt.languages_with(word, STOPWORD) == demo_lex.languages_with(
-                    word, STOPWORD
-                )
+                assert rebuilt.term_index(STOPWORD)[word] == demo_lex.term_index(STOPWORD)[word]
             for ch in demo_lex.languages[code].diacritics:
-                assert rebuilt.languages_with(ch, DIACRITIC) == demo_lex.languages_with(
-                    ch, DIACRITIC
-                )
+                assert rebuilt.term_index(DIACRITIC)[ch] == demo_lex.term_index(DIACRITIC)[ch]
         assert rebuilt == demo_lex
         assert rebuilt.fingerprint() == demo_lex.fingerprint()
 
     def test_index_spread_bounds(self, demo_lex):
         for code in demo_lex.codes:
             for word in demo_lex.languages[code].stopwords:
-                n = len(demo_lex.languages_with(word, STOPWORD))
+                n = len(demo_lex.term_index(STOPWORD)[word])
                 assert 1 <= n <= demo_lex.n_languages
             for ch in demo_lex.languages[code].diacritics:
-                n = len(demo_lex.languages_with(ch, DIACRITIC))
+                n = len(demo_lex.term_index(DIACRITIC)[ch])
                 assert 1 <= n <= demo_lex.n_languages
 
 

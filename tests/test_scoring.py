@@ -127,7 +127,7 @@ class TestClassify:
         verdict, scores = classify(
             normalize_text("universitate facultate istorie"), demo_lex, preset_config("test9")
         )
-        assert not verdict.is_classified
+        assert verdict.language is None
         assert verdict.reason == NO_EVIDENCE
         assert all(v == 0.0 for v in scores.values())
 
@@ -141,7 +141,7 @@ class TestClassify:
         verdict, _ = classify(
             normalize_text("le café"), ab_lex, ScoringConfig(p=0.5, weight_mode="ratio")
         )
-        assert verdict.is_classified
+        assert verdict.language is not None
         assert verdict.language == "a"
 
     def test_exact_raw_tie(self, ab_lex):
