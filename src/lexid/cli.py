@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (an unclassified text is *not* an error), 1 usage
 error, 2 I/O error, 3 lexicon validation failure, 4 corpus rejected for
-too many malformed lines.  A reader that closes stdout early, as in
+too many malformed lines.  ``detect --stdin`` and ``detect --file``
+classify one text per line; lines end only at ``\\n``, so a lone ``\\r``
+stays inside its line.  A reader that closes stdout early, as in
 ``lexid detect --stdin | head -1``, ends the run quietly with exit 0.
 Results go to stdout, logs and summaries to stderr.  ``--lexicon``
 defaults to the ``LID_LEXICON`` environment variable.
@@ -123,10 +125,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         if args.stdin:
             lines = sys.stdin
         elif args.file is not None:
-            # Decode as sys.stdin does in UTF-8 mode: an invalid byte
-            # becomes a lone surrogate, which separates tokens.
+            # Read as sys.stdin does in UTF-8 mode: an invalid byte
+            # becomes a lone surrogate, which separates tokens, and a
+            # lone \r stays inside its line.
             lines = stack.enter_context(
-                open(args.file, encoding="utf-8", errors="surrogateescape")
+                open(args.file, encoding="utf-8", errors="surrogateescape", newline="\n")
             )
         else:
             lines = [args.text]
@@ -222,7 +225,7 @@ def _build_parser() -> _Parser:
     evaluate_cmd.add_argument(
         "--report", choices=("table", "csv", "json"), default="table", help="report format"
     )
-    evaluate_cmd.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    evaluate_cmd.add_argument("--jobs", type=int, default=1, help="workers, at most the CPU count")
     evaluate_cmd.add_argument("--out", help="write the report to this file")
     _add_lexicon_flag(evaluate_cmd)
     _add_config_flags(evaluate_cmd)

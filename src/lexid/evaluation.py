@@ -1,10 +1,12 @@
 """Corpus evaluation: accuracy tables and confusion matrices.
 
-Runs a configured classifier over a labeled corpus and aggregates the
-outcome into per-language accuracy, unclassified rates and a confusion
-matrix with a single ``unclassified`` bucket.  Classification of the
-documents is embarrassingly parallel; aggregation is an ordered reduce
-keyed by document id, so any ``parallelism`` value produces a report
+Runs a configured classifier over a labeled corpus and counts the
+outcome into a confusion matrix with a single ``unclassified`` bucket.
+Those counts are the report's only stored outcome: per-language
+accuracy, unclassified and misclassified rates and overall accuracy are
+all derived from them.  Classification of the documents is
+embarrassingly parallel; aggregation is an ordered reduce keyed by
+document id, so any ``parallelism`` value produces a report
 byte-identical to the sequential one.
 """
 
@@ -15,8 +17,9 @@ import io
 import json
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .lexicon import LexiconSet
@@ -65,15 +68,44 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Aggregated evaluation outcome plus the configuration that made it."""
+    """Confusion counts plus the configuration that made them.
 
-    per_language_accuracy: dict[str, float]
-    unclassified_rate: dict[str, float]
-    overall_accuracy: float
+    ``unclassified_reasons[gold]`` splits the ``unclassified`` column by
+    reason.  The rates are derived from ``matrix``.
+    """
+
     matrix: ConfusionMatrix
     config_echo: dict
     unclassified_reasons: dict[str, dict[str, int]]
-    total_documents: int
+
+    @property
+    def per_language_accuracy(self) -> dict[str, float]:
+        return {gold: correct / n for gold, n, correct, _, _ in _outcomes(self.matrix)}
+
+    @property
+    def unclassified_rate(self) -> dict[str, float]:
+        return {
+            gold: unclassified / n for gold, n, _, _, unclassified in _outcomes(self.matrix)
+        }
+
+    @property
+    def total_documents(self) -> int:
+        return sum(n for _, n, _, _, _ in _outcomes(self.matrix))
+
+    @property
+    def overall_accuracy(self) -> float:
+        total = self.total_documents
+        correct = sum(correct for _, _, correct, _, _ in _outcomes(self.matrix))
+        return correct / total if total else 0.0
+
+
+def _outcomes(matrix: ConfusionMatrix):
+    """Yield ``(gold, documents, correct, misclassified, unclassified)`` per gold row."""
+    for gold in matrix.gold_labels:
+        documents = matrix.row_total(gold)
+        correct = matrix.counts[gold][gold]
+        unclassified = matrix.counts[gold][UNCLASSIFIED]
+        yield gold, documents, correct, documents - correct - unclassified, unclassified
 
 
 def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
@@ -169,6 +201,8 @@ def evaluate(
     Every gold label must name a language of ``lex``.  Both
     non-classification reasons land in the single ``unclassified``
     bucket; the per-reason split is kept separately in the report.
+    ``parallelism`` worker processes classify contiguous slices of the
+    corpus, capped at the CPU count; one worker runs in this process.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -179,10 +213,11 @@ def evaluate(
     # Chunks are contiguous corpus slices and pool.map preserves their
     # order, so the merged results follow document order no matter how
     # many workers ran or when they finished.
-    if parallelism == 1 or len(corpus) < 2:
+    workers = min(parallelism, os.cpu_count() or 1, len(corpus))
+    if workers < 2:
         results = _classify_chunk((corpus, lex, cfg))
     else:
-        chunk_size = math.ceil(len(corpus) / parallelism)
+        chunk_size = math.ceil(len(corpus) / workers)
         chunks = [corpus[i : i + chunk_size] for i in range(0, len(corpus), chunk_size)]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             results = []
@@ -201,31 +236,16 @@ def evaluate(
         if reason is not None:
             reasons[doc.gold][reason] += 1
 
-    matrix = ConfusionMatrix(
-        counts=counts, gold_labels=gold_labels, predicted_labels=predicted_labels
-    )
-    accuracy = {g: counts[g][g] / matrix.row_total(g) for g in gold_labels}
-    unclassified_rate = {
-        g: counts[g][UNCLASSIFIED] / matrix.row_total(g) for g in gold_labels
-    }
-    correct = sum(counts[g][g] for g in gold_labels)
-    overall = correct / len(corpus) if corpus else 0.0
-    config_echo = {
-        "p": cfg.p,
-        "tf_mode": cfg.tf_mode,
-        "weight_mode": cfg.weight_mode,
-        "stopword_fallback": cfg.stopword_fallback,
-        "languages": list(lex.codes),
-        "lexicon_fingerprint": lex.fingerprint(),
-    }
     return EvaluationReport(
-        per_language_accuracy=accuracy,
-        unclassified_rate=unclassified_rate,
-        overall_accuracy=overall,
-        matrix=matrix,
-        config_echo=config_echo,
+        matrix=ConfusionMatrix(
+            counts=counts, gold_labels=gold_labels, predicted_labels=predicted_labels
+        ),
+        config_echo={
+            **asdict(cfg),
+            "languages": list(lex.codes),
+            "lexicon_fingerprint": lex.fingerprint(),
+        },
         unclassified_reasons=reasons,
-        total_documents=len(corpus),
     )
 
 
@@ -291,11 +311,11 @@ def _emit_table(report: EvaluationReport) -> str:
     lines.append("Per-language accuracy")
     width = max(len("language"), *(len(g) for g in golds))
     lines.append(f"  {'language':<{width}}  {'accuracy':>9}  {'unclassified':>13}")
-    for gold in golds:
+    for gold, n, correct, _, unclassified in _outcomes(matrix):
         lines.append(
             f"  {gold:<{width}}"
-            f"  {report.per_language_accuracy[gold] * 100:>8.2f}%"
-            f"  {report.unclassified_rate[gold] * 100:>12.2f}%"
+            f"  {correct / n * 100:>8.2f}%"
+            f"  {unclassified / n * 100:>12.2f}%"
         )
     lines.append("")
 
@@ -344,42 +364,13 @@ def _emit_csv(report: EvaluationReport) -> str:
             "unclassified_rate",
         ]
     )
-    total_correct = 0
-    total_misclassified = 0
-    total_unclassified = 0
-    for gold in matrix.gold_labels:
-        row_total = matrix.row_total(gold)
-        correct = matrix.counts[gold][gold]
-        unclassified = matrix.counts[gold][UNCLASSIFIED]
-        misclassified = row_total - correct - unclassified
-        total_correct += correct
-        total_misclassified += misclassified
-        total_unclassified += unclassified
-        writer.writerow(
-            [
-                gold,
-                row_total,
-                correct,
-                misclassified,
-                unclassified,
-                repr(correct / row_total),
-                repr(misclassified / row_total),
-                repr(unclassified / row_total),
-            ]
-        )
-    total = report.total_documents
-    writer.writerow(
-        [
-            "overall",
-            total,
-            total_correct,
-            total_misclassified,
-            total_unclassified,
-            repr(report.overall_accuracy),
-            repr(total_misclassified / total if total else 0.0),
-            repr(total_unclassified / total if total else 0.0),
-        ]
-    )
+    # The overall row sums the language rows.  It stays out of any dict
+    # keyed by language, since a lexicon may name a language "overall".
+    totals = [0, 0, 0, 0]
+    for gold, *figures in _outcomes(matrix):
+        totals = [total + figure for total, figure in zip(totals, figures)]
+        writer.writerow(_accuracy_row(gold, *figures))
+    writer.writerow(_accuracy_row("overall", *totals))
     writer.writerow(["CONFUSION"])
     writer.writerow(["gold", "predicted", "count", "rate"])
     for gold in matrix.gold_labels:
@@ -390,6 +381,12 @@ def _emit_csv(report: EvaluationReport) -> str:
     return buffer.getvalue()
 
 
+def _accuracy_row(label: str, documents: int, *counts: int) -> list:
+    """``label, documents, correct, misclassified, unclassified`` and their rates."""
+    rates = (repr(count / documents if documents else 0.0) for count in counts)
+    return [label, documents, *counts, *rates]
+
+
 def _emit_json(report: EvaluationReport) -> str:
     matrix = report.matrix
     payload = {
@@ -398,13 +395,7 @@ def _emit_json(report: EvaluationReport) -> str:
         "per_language_accuracy": report.per_language_accuracy,
         "unclassified_rate": report.unclassified_rate,
         "misclassified_rate": {
-            gold: (
-                matrix.row_total(gold)
-                - matrix.counts[gold][gold]
-                - matrix.counts[gold][UNCLASSIFIED]
-            )
-            / matrix.row_total(gold)
-            for gold in matrix.gold_labels
+            gold: misclassified / n for gold, n, _, misclassified, _ in _outcomes(matrix)
         },
         "confusion": {gold: dict(matrix.counts[gold]) for gold in matrix.gold_labels},
         "unclassified_reasons": report.unclassified_reasons,

@@ -120,8 +120,9 @@ class LexiconSet:
         self._all_diacritics = frozenset(self._index[DIACRITIC])
 
     @property
-    def languages(self) -> dict[str, LanguageLexicon]:
-        return self._languages
+    def languages(self) -> Mapping[str, LanguageLexicon]:
+        """Read-only ``code -> LanguageLexicon`` map, in lexicon order."""
+        return MappingProxyType(self._languages)
 
     @property
     def codes(self) -> tuple[str, ...]:

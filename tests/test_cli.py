@@ -131,6 +131,18 @@ class TestDetect:
         assert (by_file.returncode, by_stdin.returncode) == (0, 0)
         assert by_file.stdout == by_stdin.stdout == b"a\nb\nund\nund\n"
 
+    def test_file_and_stdin_split_lines_only_at_newline(self, tmp_path):
+        data = "le café\rel niño\n".encode()
+        src = tmp_path / "lines.txt"
+        src.write_bytes(data)
+        argv = [sys.executable, "-X", "utf8", "-m", "lexid.cli", "detect"]
+        argv += ["--lexicon", DEMO, "--preset", "test9"]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        by_file = subprocess.run(argv + ["--file", str(src)], capture_output=True, env=env)
+        by_stdin = subprocess.run(argv + ["--stdin"], input=data, capture_output=True, env=env)
+        assert (by_file.returncode, by_stdin.returncode) == (0, 0)
+        assert by_file.stdout == by_stdin.stdout == b"es\n"
+
     @given(
         st.lists(
             st.one_of(st.text(max_size=8), st.sampled_from(["le ", " și", "é", "ñ", " de ", "-"])),

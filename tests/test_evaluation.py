@@ -208,6 +208,38 @@ class TestEvaluate:
         with pytest.raises(RuntimeError, match="arrived in place of"):
             evaluate(corpus, ab_lex, preset_config("test3"))
 
+    @pytest.mark.parametrize(
+        ("cpu_count", "jobs", "expected"),
+        [(3, 100_000, 3), (3, 2, 2), (None, 100_000, None), (1, 100_000, None)],
+    )
+    def test_pool_is_capped_at_cpu_count(
+        self, ab_lex, monkeypatch, cpu_count, jobs, expected
+    ):
+        import lexid.evaluation
+
+        created = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        corpus = make_corpus([("a", "le"), ("b", "el"), ("a", "zz")] * 10)
+        serial = evaluate(corpus, ab_lex, preset_config("test3"))
+        monkeypatch.setattr(lexid.evaluation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("os.cpu_count", lambda: cpu_count)
+        report = evaluate(corpus, ab_lex, preset_config("test3"), parallelism=jobs)
+        assert created == ([] if expected is None else [expected])
+        assert report == serial
+
     def test_empty_corpus(self, ab_lex):
         report = evaluate([], ab_lex, preset_config("test3"))
         assert report.overall_accuracy == 0.0
@@ -220,9 +252,6 @@ def report_with_accuracy(correct=9409, total=10000):
     counts = {"fr": {"fr": correct, "it": total - correct - 591, UNCLASSIFIED: 591}}
     matrix = ConfusionMatrix(counts=counts, gold_labels=("fr",), predicted_labels=labels)
     return EvaluationReport(
-        per_language_accuracy={"fr": correct / total},
-        unclassified_rate={"fr": 591 / total},
-        overall_accuracy=correct / total,
         matrix=matrix,
         config_echo={
             "p": 1 / 3,
@@ -233,7 +262,6 @@ def report_with_accuracy(correct=9409, total=10000):
             "lexicon_fingerprint": "abc123",
         },
         unclassified_reasons={"fr": {"no_evidence": 500, "tie": 91}},
-        total_documents=total,
     )
 
 

@@ -251,6 +251,12 @@ class TestConstructorInvariants:
         assert rebuilt == demo_lex
         assert rebuilt.fingerprint() == demo_lex.fingerprint()
 
+    def test_languages_is_read_only(self, demo_lex):
+        lex = LexiconSet(dict(demo_lex.languages))
+        with pytest.raises(TypeError):
+            lex.languages["xx"] = lex.languages["fr"]
+        assert "xx" not in lex.codes
+
     def test_index_spread_bounds(self, demo_lex):
         for code in demo_lex.codes:
             for word in demo_lex.languages[code].stopwords:
