@@ -13,7 +13,6 @@ from .evaluation import (
     CorpusFormatError,
     EvaluationReport,
     LabeledDocument,
-    UNCLASSIFIED,
     emit_report,
     evaluate,
     load_corpus,
@@ -26,6 +25,7 @@ from .lexicon import (
     LexiconError,
     LexiconSet,
     STOPWORD,
+    UNCLASSIFIED,
     augment_with_stripped_variants,
     demo_lexicon_dir,
     load_lexicon,

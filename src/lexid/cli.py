@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .evaluation import CorpusFormatError, emit_report, evaluate, load_corpus
 from .lexicon import (
+    UNDETERMINED,
     LexiconError,
     _iter_terms,
     augment_with_stripped_variants,
@@ -40,9 +41,6 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_LEXICON = 3
 EXIT_CORPUS = 4
-
-#: Printed for texts no language wins (ISO 639 "undetermined").
-UNDETERMINED = "und"
 
 
 class UsageError(Exception):

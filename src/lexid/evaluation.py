@@ -22,14 +22,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .lexicon import LexiconSet
+from .lexicon import UNCLASSIFIED, LexiconSet
 from .normalize import normalize_text
 from .scoring import NO_EVIDENCE, TIE, ScoringConfig, classify
 
 logger = logging.getLogger(__name__)
-
-#: Predicted-label bucket for documents no language won.
-UNCLASSIFIED = "unclassified"
 
 #: Parsing aborts when more than this fraction of lines is malformed.
 MAX_MALFORMED_FRACTION = 0.10

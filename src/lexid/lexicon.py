@@ -40,6 +40,12 @@ logger = logging.getLogger(__name__)
 STOPWORD = "stopword"
 DIACRITIC = "diacritic"
 
+# Labels for texts no language won; no language may use them as its code.
+#: Predicted-label bucket of an evaluation report.
+UNCLASSIFIED = "unclassified"
+#: Printed by ``lexid detect`` (ISO 639 "undetermined").
+UNDETERMINED = "und"
+
 # Accent-folding table used to derive plain-ASCII spellings of stop
 # words.  œ/æ fold to their two-letter expansions; anything not listed
 # passes through unchanged.
@@ -89,6 +95,8 @@ class LanguageLexicon:
 class LexiconSet:
     """An ordered set of language lexicons plus the cross-language index.
 
+    Language codes must be non-empty and may not be :data:`UNCLASSIFIED`
+    or :data:`UNDETERMINED`, the labels of texts no language won.
     Immutable after construction; safe to share between any number of
     concurrent scorers.
     """
@@ -100,6 +108,8 @@ class LexiconSet:
         for code, lexicon in languages.items():
             if not code:
                 raise LexiconError("empty language code")
+            if code in (UNCLASSIFIED, UNDETERMINED):
+                raise LexiconError(f"language code {code!r} is reserved")
             for kind, terms in ((STOPWORD, lexicon.stopwords), (DIACRITIC, lexicon.diacritics)):
                 for term in terms:
                     if not _is_canonical(kind, term):
@@ -169,7 +179,11 @@ def _entry(kind: str, term: str) -> str:
     a form raises :class:`LexiconError`.
     """
     if kind == STOPWORD:
-        tokens = _tokens(term)
+        # A lowercase NFC run of letters is its own single token; this
+        # spares the tokenizer for every entry already in canonical form.
+        if term.isalpha() and unicodedata.normalize("NFC", term.lower()) == term:
+            return term
+        tokens, _ = _tokens(term)
         if len(tokens) != 1:
             raise LexiconError(f"stop word {term!r} is not a single word")
         return tokens[0]
@@ -260,8 +274,9 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
 
     Languages are read in sorted directory order.  Structural problems
     (missing files, lines that are not valid UTF-8, multi-word stop-word
-    lines, multi-character diacritic lines, duplicate codes, no languages
-    at all) raise :class:`LexiconError` with file and line context.
+    lines, multi-character diacritic lines, duplicate or reserved codes,
+    no languages at all) raise :class:`LexiconError` with file and line
+    context.
     Entries the loader had to normalize are logged and, when
     ``warnings_to`` is given, also appended to it as :class:`Finding`
     objects.
@@ -287,7 +302,10 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
 
     if not languages:
         raise LexiconError(f"no language directories under {root}")
-    return LexiconSet(languages)
+    try:
+        return LexiconSet(languages)
+    except LexiconError as exc:
+        raise LexiconError(f"{root}: {exc}") from None
 
 
 def _warn(message: str, warnings_to: list[Finding] | None) -> None:

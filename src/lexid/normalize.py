@@ -8,6 +8,11 @@ other non-letter character acts as a token separator: digits,
 punctuation, symbols, ``_`` and non-letter numerics such as ``²`` and
 ``½`` alike.  The result also carries character and token occurrence
 counts so scoring can look up term frequencies in constant time.
+
+A URL chunk always contains ``://`` or ``www.``, so a text holding
+neither (most tweets and almost every article) is tokenized with the
+letter-run pattern alone; that pass finds the same runs as the full
+pattern, whose URL alternative could never match there.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from itertools import groupby
 #      plus non-letter numerics such as "²" and "½", which
 #      ``_tokens`` splits out again.
 _TOKEN_RE = re.compile(r"(?<!\S)[#@]*(?:[a-z][a-z0-9+.-]*://|www\.)\S*|([^\W\d_]+)")
+# Alternative 2 alone, for texts that hold no URL marker.
+_LETTER_RUN_RE = re.compile(r"[^\W\d_]+")
 
 
 @dataclass(frozen=True)
@@ -48,12 +55,19 @@ class NormalizedText:
     raw_length: int = field(compare=False)
 
 
-def _tokens(raw: str) -> list[str]:
-    """The letter tokens of ``raw``, in order: steps 1-3 of :func:`normalize_text`."""
+def _tokens(raw: str) -> tuple[list[str], str]:
+    """The letter tokens of ``raw`` in order, and their concatenation.
+
+    These are steps 1-3 of :func:`normalize_text`.
+    """
     lowered = unicodedata.normalize("NFC", raw.lower())
-    tokens = [run for run in _TOKEN_RE.findall(lowered) if run]
-    if "".join(tokens).isalpha():
-        return tokens
+    if "://" in lowered or "www." in lowered:
+        tokens = [run for run in _TOKEN_RE.findall(lowered) if run]
+    else:
+        tokens = _LETTER_RUN_RE.findall(lowered)
+    joined = "".join(tokens)
+    if joined.isalpha():
+        return tokens, joined
     # Some run holds a non-letter numeric: split just those runs on it.
     letters: list[str] = []
     for run in tokens:
@@ -63,7 +77,7 @@ def _tokens(raw: str) -> list[str]:
             letters.extend(
                 "".join(part) for is_alpha, part in groupby(run, str.isalpha) if is_alpha
             )
-    return letters
+    return letters, "".join(letters)
 
 
 def normalize_text(raw: str) -> NormalizedText:
@@ -84,10 +98,10 @@ def normalize_text(raw: str) -> NormalizedText:
     Empty or all-noise input yields an empty ``NormalizedText``; this
     function never raises.
     """
-    tokens = _tokens(raw)
+    tokens, joined = _tokens(raw)
     return NormalizedText(
         tokens=tuple(tokens),
-        char_freq=dict(Counter("".join(tokens))),
+        char_freq=dict(Counter(joined)),
         token_freq=dict(Counter(tokens)),
         raw_length=len(raw),
     )

@@ -21,13 +21,15 @@ the same scale.
 
 Scoring visits only the dictionary terms the text contains: its cost is
 proportional to the text's distinct tokens and characters and does not
-depend on dictionary size.
+depend on dictionary size.  Each weight is computed once per (weight
+mode, language count) and then read from a table indexed by ``n``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .lexicon import DIACRITIC, STOPWORD, LexiconSet
 from .normalize import NormalizedText
@@ -42,6 +44,17 @@ _WEIGHT = {
 }
 TF_MODES = tuple(_TF)
 WEIGHT_MODES = tuple(_WEIGHT)
+
+
+@lru_cache(maxsize=64)
+def _weights(weight_mode: str, n_languages: int) -> tuple[float, ...]:
+    """Weight of a term listed by ``n`` of ``n_languages``, at index ``n``.
+
+    No term is listed by 0 languages, so index 0 holds NaN.
+    """
+    weight = _WEIGHT[weight_mode]
+    return (math.nan, *(weight(n_languages, n) for n in range(1, n_languages + 1)))
+
 
 # Non-classification reasons.
 NO_EVIDENCE = "no_evidence"
@@ -129,7 +142,7 @@ def score_all(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> dict[s
         raise ValueError("classification requires at least 2 languages")
     p = _effective_p(nt, lex, cfg)
     tf = _TF[cfg.tf_mode]
-    weight = _WEIGHT[cfg.weight_mode]
+    weights = _weights(cfg.weight_mode, n_languages)
     # Every language adds its matched terms in sorted term order starting
     # from 0.0, so each sum is reproducible across processes and runs.
     totals = []
@@ -138,7 +151,7 @@ def score_all(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> dict[s
         total = dict.fromkeys(lex.codes, 0.0)
         for term in sorted(index.keys() & freq.keys()):
             codes = index[term]
-            value = tf(freq[term]) * weight(n_languages, len(codes))
+            value = tf(freq[term]) * weights[len(codes)]
             for code in codes:
                 total[code] += value
         totals.append(total)

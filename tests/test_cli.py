@@ -228,6 +228,16 @@ class TestDetectErrors:
         assert (code, out) == (3, "")
         assert "stopwords.txt:3: invalid UTF-8 at byte 3" in err
 
+    @pytest.mark.parametrize("code", ["und", "unclassified"])
+    def test_reserved_language_code(self, capsys, tmp_path, code):
+        root = tmp_path / "lex"
+        write_lexicon_dir(root, {"a": (["le"], ["é"]), code: (["el"], ["ñ"])})
+        exit_code, out, err = run(
+            capsys, ["detect", "--lexicon", str(root), "--preset", "test9", "el"]
+        )
+        assert (exit_code, out) == (3, "")
+        assert f"{root}: language code {code!r} is reserved" in err
+
     def test_unknown_preset(self, capsys, ab_dir):
         code, _, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test10", "x"])
         assert code == 1

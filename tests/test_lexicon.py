@@ -1,4 +1,7 @@
+import sys
+
 import pytest
+from hypothesis import given, strategies as st
 
 from lexid import (
     DIACRITIC,
@@ -14,6 +17,8 @@ from lexid import (
     strip_diacritics,
     validate_lexicon,
 )
+from lexid.lexicon import _entry
+from lexid.normalize import _tokens
 
 
 def write_lexicon_dir(root, languages):
@@ -187,6 +192,12 @@ class TestLoadAndSave:
         with pytest.raises(LexiconError, match="duplicate language code"):
             load_lexicon(tmp_path)
 
+    @pytest.mark.parametrize("code", ["UND", "Unclassified"])
+    def test_reserved_code_directory(self, tmp_path, code):
+        write_lexicon_dir(tmp_path, {"fr": (["le"], ["é"]), code: (["di"], ["ì"])})
+        with pytest.raises(LexiconError, match=f"{code.lower()!r} is reserved"):
+            load_lexicon(tmp_path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         write_lexicon_dir(tmp_path, {"fr": (["# comment", "", "le"], ["é"]),
                                      "it": (["di"], ["ì"])})
@@ -236,6 +247,24 @@ class TestConstructorInvariants:
     def test_rejects_unnormalized_diacritic(self):
         with pytest.raises(LexiconError, match="not a single letter"):
             LexiconSet({"x": LanguageLexicon(frozenset(), frozenset({"É"}))})
+
+    def test_rejects_unclassified_code(self):
+        with pytest.raises(LexiconError, match="'unclassified' is reserved"):
+            LexiconSet(
+                {
+                    "unclassified": LanguageLexicon(frozenset({"le"}), frozenset()),
+                    "b": LanguageLexicon(frozenset({"el"}), frozenset()),
+                }
+            )
+
+    def test_rejects_undetermined_code(self):
+        with pytest.raises(LexiconError, match="'und' is reserved"):
+            LexiconSet(
+                {
+                    "a": LanguageLexicon(frozenset({"le"}), frozenset()),
+                    "und": LanguageLexicon(frozenset({"el"}), frozenset()),
+                }
+            )
 
     def test_rejects_empty_mapping(self):
         with pytest.raises(LexiconError):
@@ -302,3 +331,40 @@ class TestValidate:
         messages = [f.message for f in validate_lexicon(lex)]
         assert any("'ù'" in m and "no diacritic set" in m for m in messages)
         assert any("empty diacritic set" in m for m in messages)
+
+
+def _tokenized_stop_word(term):
+    """``_entry(STOPWORD, term)`` without its shortcut, or None where it raises."""
+    tokens, _ = _tokens(term)
+    return tokens[0] if len(tokens) == 1 else None
+
+
+def _stop_word_entry(term):
+    try:
+        return _entry(STOPWORD, term)
+    except LexiconError:
+        return None
+
+
+class TestStopWordEntry:
+    """The canonical-form shortcut of ``_entry`` agrees with tokenizing."""
+
+    def test_every_code_point(self):
+        for cp in range(sys.maxunicode + 1):
+            ch = chr(cp)
+            assert _stop_word_entry(ch) == _tokenized_stop_word(ch), hex(cp)
+            if ch.isalpha():
+                # Two-letter words, and capitals whose lowercase may expand.
+                for term in (f"a{ch}", ch.upper()):
+                    assert _stop_word_entry(term) == _tokenized_stop_word(term), hex(cp)
+
+    @given(st.text(min_size=1, max_size=12))
+    def test_arbitrary_words(self, term):
+        assert _stop_word_entry(term) == _tokenized_stop_word(term)
+
+    def test_examples(self):
+        assert _entry(STOPWORD, "Le") == "le"
+        assert _entry(STOPWORD, "cafe\u0301") == "café"
+        assert _entry(STOPWORD, "şi") == "şi"
+        with pytest.raises(LexiconError, match="not a single word"):
+            _entry(STOPWORD, "x²y")

@@ -55,6 +55,16 @@ tricky_text = st.lists(
     max_size=40,
 ).map("".join)
 
+# Texts on both sides of the URL-marker test that picks the letter-run
+# pass: the markers themselves, their uppercase and near misses.
+url_marker_text = st.lists(
+    st.one_of(
+        st.sampled_from(ROMANCE_LETTERS),
+        st.sampled_from(["://", "www.", "WWW.", "ww.", ":/", "w", " ", "#", "²", "1"]),
+    ),
+    max_size=30,
+).map("".join)
+
 ALL_CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
 
 mixed_text = st.text(
@@ -164,12 +174,23 @@ class TestAgainstReference:
     def test_arbitrary_text(self, raw):
         assert normalize_text(raw) == _reference_normalize(raw)
 
+    @given(url_marker_text)
+    def test_url_marker_text(self, raw):
+        nt, ref = normalize_text(raw), _reference_normalize(raw)
+        assert nt == ref
+        assert list(nt.char_freq.items()) == list(ref.char_freq.items())
+
     def test_examples(self):
         for raw in (
             "x²y ½z", "#@http://a.b c", "a_b৴c", "ok www.x.y/ö", "é\u2028ü\x85ç",
             "1www.x", "a:http://b", "##", "_é\u00a0www.é",
+            # Near the URL-marker test that picks the letter-run pass.
+            "awww.b", "a://", "x www", "\uff37\uff37\uff37.a", "WWW.a b", "ww.a",
+            "a:/b", "é://ü", "x www.", "é²www.a", "http:/a", "Ǉwww.a",
         ):
-            assert normalize_text(raw) == _reference_normalize(raw), raw
+            nt, ref = normalize_text(raw), _reference_normalize(raw)
+            assert nt == ref, raw
+            assert list(nt.char_freq.items()) == list(ref.char_freq.items()), raw
 
 
 class TestCodePoints:

@@ -67,6 +67,39 @@ class TestWeight:
         assert one_term_scores("la", lex, p=1.0, weight_mode="ratio") == {"x": 1.0, "y": 1.0}
 
 
+    def test_weights_follow_the_language_count(self):
+        # The same term spread under 2 and under 5 languages, scored in
+        # one process, so a weight memo that ignored the count would leak.
+        two = LexiconSet(
+            {
+                "a": LanguageLexicon(frozenset({"x", "y"}), frozenset()),
+                "b": LanguageLexicon(frozenset({"y"}), frozenset()),
+            }
+        )
+        five = LexiconSet(
+            {
+                "a": LanguageLexicon(frozenset({"x", "y"}), frozenset()),
+                "b": LanguageLexicon(frozenset({"y"}), frozenset()),
+                **{c: LanguageLexicon(frozenset({"z"}), frozenset()) for c in "cde"},
+            }
+        )
+        log1p = math.log1p
+        for _ in range(2):
+            assert one_term_scores("x y", two, p=1.0, weight_mode="ratio") == {
+                "a": 2.0 + 1.0, "b": 1.0,
+            }
+            assert one_term_scores("x y", five, p=1.0, weight_mode="ratio") == {
+                "a": 5.0 + 2.5, "b": 2.5, "c": 0.0, "d": 0.0, "e": 0.0,
+            }
+            assert one_term_scores("x y", two, p=1.0, weight_mode="log_ratio") == {
+                "a": 0.0 + log1p(2.0) + log1p(1.0), "b": 0.0 + log1p(1.0),
+            }
+            assert one_term_scores("x y", five, p=1.0, weight_mode="log_ratio") == {
+                "a": 0.0 + log1p(5.0) + log1p(2.5), "b": 0.0 + log1p(2.5),
+                "c": 0.0, "d": 0.0, "e": 0.0,
+            }
+
+
 class TestScoreLanguage:
     def test_two_language_example(self, ab_lex):
         nt = normalize_text("le café")
