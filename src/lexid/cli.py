@@ -3,8 +3,9 @@
 Exit codes: 0 success (an unclassified text is *not* an error), 1 usage
 error, 2 I/O error, 3 lexicon validation failure, 4 corpus rejected for
 too many malformed lines.  ``detect --stdin`` and ``detect --file``
-classify one text per line; lines end only at ``\\n``, so a lone ``\\r``
-stays inside its line.  A reader that closes stdout early, as in
+classify one text per line, decoded as UTF-8 whatever the interpreter's
+stdio encoding; lines end only at ``\\n``, so a lone ``\\r`` stays
+inside its line.  A reader that closes stdout early, as in
 ``lexid detect --stdin | head -1``, ends the run quietly with exit 0.
 Results go to stdout, logs and summaries to stderr.  ``--lexicon``
 defaults to the ``LID_LEXICON`` environment variable.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import logging
 import os
@@ -119,16 +121,17 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     lex = _require_lexicon(args)
     cfg = _resolve_config(args)
 
+    # Both line sources decode as UTF-8 whatever the interpreter's stdio
+    # settings: an invalid byte becomes a lone surrogate, which separates
+    # tokens, and a lone \r stays inside its line.
+    decoding = {"encoding": "utf-8", "errors": "surrogateescape", "newline": "\n"}
     with contextlib.ExitStack() as stack:
         if args.stdin:
-            lines = sys.stdin
+            lines = io.TextIOWrapper(sys.stdin.buffer, **decoding)
+            # Detaching hands the buffer back unclosed, so stdin stays open.
+            stack.callback(lines.detach)
         elif args.file is not None:
-            # Read as sys.stdin does in UTF-8 mode: an invalid byte
-            # becomes a lone surrogate, which separates tokens, and a
-            # lone \r stays inside its line.
-            lines = stack.enter_context(
-                open(args.file, encoding="utf-8", errors="surrogateescape", newline="\n")
-            )
+            lines = stack.enter_context(open(args.file, **decoding))
         else:
             lines = [args.text]
         for line in lines:

@@ -5,9 +5,12 @@ outcome into a confusion matrix with a single ``unclassified`` bucket.
 Those counts are the report's only stored outcome: per-language
 accuracy, unclassified and misclassified rates and overall accuracy are
 all derived from them.  Classification of the documents is
-embarrassingly parallel; aggregation is an ordered reduce keyed by
-document id, so any ``parallelism`` value produces a report
-byte-identical to the sequential one.
+embarrassingly parallel: each worker process receives the corpus, the
+lexicon and the configuration once, classifies slices of the corpus
+and returns a count per ``(gold, predicted, reason)``.  The counts are
+summed, and integer sums do not depend on their order, so any
+``parallelism`` value produces a report byte-identical to the
+sequential one.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import logging
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -178,13 +182,28 @@ def _parse_line(line: str, format: str, path, line_no: int) -> tuple[str, str] |
     return obj["label"].strip(), obj["text"]
 
 
-def _classify_chunk(task: tuple[list[LabeledDocument], LexiconSet, ScoringConfig]):
-    documents, lex, cfg = task
-    results = []
-    for doc in documents:
-        verdict, _ = classify(normalize_text(doc.text), lex, cfg)
-        results.append((doc.id, verdict.language or UNCLASSIFIED, verdict.reason))
-    return results
+def _tally(
+    golds: list[str], texts: list[str], lex: LexiconSet, cfg: ScoringConfig, start: int, stop: int
+) -> Counter:
+    """Count ``(gold, predicted, reason)`` over documents ``start:stop``."""
+    tally = Counter()
+    for gold, text in zip(golds[start:stop], texts[start:stop]):
+        verdict, _ = classify(normalize_text(text), lex, cfg)
+        tally[gold, verdict.language or UNCLASSIFIED, verdict.reason] += 1
+    return tally
+
+
+#: ``(golds, texts, lex, cfg)`` of the evaluation a worker process serves.
+_worker_state: tuple = ()
+
+
+def _init_worker(golds: list[str], texts: list[str], lex: LexiconSet, cfg: ScoringConfig):
+    global _worker_state
+    _worker_state = (golds, texts, lex, cfg)
+
+
+def _tally_slice(bounds: tuple[int, int]) -> Counter:
+    return _tally(*_worker_state, *bounds)
 
 
 def evaluate(
@@ -198,40 +217,46 @@ def evaluate(
     Every gold label must name a language of ``lex``.  Both
     non-classification reasons land in the single ``unclassified``
     bucket; the per-reason split is kept separately in the report.
-    ``parallelism`` worker processes classify contiguous slices of the
-    corpus, capped at the CPU count; one worker runs in this process.
+    ``parallelism`` worker processes, capped at the CPU count, each
+    receive the corpus, ``lex`` and ``cfg`` once when they start (a
+    forked worker inherits them; otherwise they are pickled once per
+    worker), classify one contiguous slice of the corpus and return its
+    ``(gold, predicted, reason)`` counts, which this process sums.  One
+    worker runs in this process.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    unknown = {doc.gold for doc in corpus} - set(lex.codes)
+    golds = [doc.gold for doc in corpus]
+    texts = [doc.text for doc in corpus]
+    present = set(golds)
+    unknown = present - set(lex.codes)
     if unknown:
         raise ValueError(f"gold labels not in lexicon: {', '.join(sorted(unknown))}")
 
-    # Chunks are contiguous corpus slices and pool.map preserves their
-    # order, so the merged results follow document order no matter how
-    # many workers ran or when they finished.
     workers = min(parallelism, os.cpu_count() or 1, len(corpus))
     if workers < 2:
-        results = _classify_chunk((corpus, lex, cfg))
+        tally = _tally(golds, texts, lex, cfg, 0, len(corpus))
     else:
-        chunk_size = math.ceil(len(corpus) / workers)
-        chunks = [corpus[i : i + chunk_size] for i in range(0, len(corpus), chunk_size)]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = []
-            for part in pool.map(_classify_chunk, ((c, lex, cfg) for c in chunks)):
-                results.extend(part)
+        size = math.ceil(len(corpus) / workers)
+        bounds = [(i, i + size) for i in range(0, len(corpus), size)]
+        with ProcessPoolExecutor(
+            max_workers=len(bounds),
+            initializer=_init_worker,
+            initargs=(golds, texts, lex, cfg),
+        ) as pool:
+            tally = sum(pool.map(_tally_slice, bounds), Counter())
 
-    present = {doc.gold for doc in corpus}
+    covered = sum(tally.values())
+    if covered != len(corpus):
+        raise RuntimeError(f"tallies cover {covered} of {len(corpus)} documents")
     gold_labels = tuple(code for code in lex.codes if code in present)
     predicted_labels = (*lex.codes, UNCLASSIFIED)
     counts = {gold: {label: 0 for label in predicted_labels} for gold in gold_labels}
     reasons = {gold: {NO_EVIDENCE: 0, TIE: 0} for gold in gold_labels}
-    for doc, (doc_id, predicted, reason) in zip(corpus, results):
-        if doc.id != doc_id:
-            raise RuntimeError(f"result for document {doc_id} arrived in place of {doc.id}")
-        counts[doc.gold][predicted] += 1
+    for (gold, predicted, reason), n in tally.items():
+        counts[gold][predicted] += n
         if reason is not None:
-            reasons[doc.gold][reason] += 1
+            reasons[gold][reason] += n
 
     return EvaluationReport(
         matrix=ConfusionMatrix(

@@ -87,7 +87,8 @@ class TestDetect:
         assert (code, out) == (0, "a\n")
 
     def test_stdin_line_discipline(self, capsys, monkeypatch, ab_dir):
-        monkeypatch.setattr("sys.stdin", io.StringIO("le café\n\nel ñu\nzzz\nla le\n"))
+        stdin = io.TextIOWrapper(io.BytesIO("le café\n\nel ñu\nzzz\nla le\n".encode()))
+        monkeypatch.setattr("sys.stdin", stdin)
         code, out, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test9", "--stdin"])
         assert code == 0
         assert out.splitlines() == ["a", "und", "b", "und", "a"]
@@ -119,17 +120,28 @@ class TestDetect:
         )
         assert (code, out) == (0, "a\nb\n")
 
-    def test_file_and_stdin_agree_on_invalid_utf8(self, tmp_path, ab_dir):
-        data = b"le caf\xc3\xa9\n\xff el \xc3\xb1u\nla l\xffe\nzzz\n"
+    @pytest.mark.parametrize(
+        ("interpreter_flags", "stdio_encoding"),
+        [(["-X", "utf8"], None), ([], "utf-8"), ([], "latin-1")],
+        ids=["utf8-mode", "utf-8", "latin-1"],
+    )
+    def test_file_and_stdin_agree_on_invalid_utf8(
+        self, tmp_path, ab_dir, interpreter_flags, stdio_encoding
+    ):
+        # Only the diacritic of the last line decides its verdict.
+        data = b"le caf\xc3\xa9\n\xff el \xc3\xb1u\nla l\xffe\nzzz\nla ni\xc3\xb1o\n"
         src = tmp_path / "lines.txt"
         src.write_bytes(data)
-        argv = [sys.executable, "-X", "utf8", "-m", "lexid.cli", "detect"]
+        argv = [sys.executable, *interpreter_flags, "-m", "lexid.cli", "detect"]
         argv += ["--lexicon", ab_dir, "--preset", "test9"]
         env = {**os.environ, "PYTHONPATH": SRC}
+        env.pop("PYTHONIOENCODING", None)
+        if stdio_encoding:
+            env["PYTHONIOENCODING"] = stdio_encoding
         by_file = subprocess.run(argv + ["--file", str(src)], capture_output=True, env=env)
         by_stdin = subprocess.run(argv + ["--stdin"], input=data, capture_output=True, env=env)
         assert (by_file.returncode, by_stdin.returncode) == (0, 0)
-        assert by_file.stdout == by_stdin.stdout == b"a\nb\nund\nund\n"
+        assert by_file.stdout == by_stdin.stdout == b"a\nb\nund\nund\nb\n"
 
     def test_file_and_stdin_split_lines_only_at_newline(self, tmp_path):
         data = "le café\rel niño\n".encode()

@@ -1,6 +1,9 @@
+import functools
 import json
 import logging
+import multiprocessing
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -17,6 +20,8 @@ from lexid import (
     load_corpus,
     preset_config,
 )
+
+from _synth import make_corpus as synth_corpus
 
 
 def write(path, text):
@@ -188,24 +193,45 @@ class TestEvaluate:
             ("ro", "și acum mergem până la școală"),
             ("it", "però adesso è già in città"),
             ("pt", "não gosto de ficar em casa"),
+            ("ro", "universitate facultate istorie"),
+            ("es", "allí estaré"),
         ] * 8
         corpus = make_corpus(texts)
         sequential = evaluate(corpus, demo_lex, preset_config("test9"), parallelism=1)
         parallel = evaluate(corpus, demo_lex, preset_config("test9"), parallelism=4)
+        assert parallel.unclassified_reasons["ro"]["no_evidence"] > 0
+        assert parallel.unclassified_reasons["es"]["tie"] > 0
         assert sequential == parallel
         for fmt in ("table", "csv", "json"):
             assert emit_report(sequential, fmt) == emit_report(parallel, fmt)
 
-    def test_results_out_of_order_are_rejected(self, ab_lex, monkeypatch):
+    def test_spawned_workers_equal_sequential(self, demo_lex, monkeypatch):
         import lexid.evaluation
 
-        def reversed_chunk(task):
-            documents, _, _ = task
-            return [(doc.id, doc.gold, None) for doc in reversed(documents)]
+        corpus, _ = synth_corpus(demo_lex, 20)
+        cfg = preset_config("test9")
+        sequential = evaluate(corpus, demo_lex, cfg, parallelism=1)
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            lexid.evaluation,
+            "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor, mp_context=spawn),
+        )
+        parallel = evaluate(corpus, demo_lex, cfg, parallelism=2)
+        for fmt in ("table", "csv", "json"):
+            assert emit_report(sequential, fmt) == emit_report(parallel, fmt)
 
-        monkeypatch.setattr(lexid.evaluation, "_classify_chunk", reversed_chunk)
+    def test_tallies_must_cover_the_corpus(self, ab_lex, monkeypatch):
+        import lexid.evaluation
+
+        tally = lexid.evaluation._tally
+
+        def drop_first(golds, texts, lex, cfg, start, stop):
+            return tally(golds, texts, lex, cfg, start + 1, stop)
+
+        monkeypatch.setattr(lexid.evaluation, "_tally", drop_first)
         corpus = make_corpus([("a", "le"), ("b", "el")])
-        with pytest.raises(RuntimeError, match="arrived in place of"):
+        with pytest.raises(RuntimeError, match="cover 1 of 2 documents"):
             evaluate(corpus, ab_lex, preset_config("test3"))
 
     @pytest.mark.parametrize(
@@ -220,8 +246,9 @@ class TestEvaluate:
         created = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 created.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -235,6 +262,7 @@ class TestEvaluate:
         corpus = make_corpus([("a", "le"), ("b", "el"), ("a", "zz")] * 10)
         serial = evaluate(corpus, ab_lex, preset_config("test3"))
         monkeypatch.setattr(lexid.evaluation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(lexid.evaluation, "_worker_state", ())
         monkeypatch.setattr("os.cpu_count", lambda: cpu_count)
         report = evaluate(corpus, ab_lex, preset_config("test3"), parallelism=jobs)
         assert created == ([] if expected is None else [expected])
