@@ -114,7 +114,8 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
 
     ``tsv`` lines are ``label<TAB>text`` (tabs after the first stay in
     the text); ``jsonl`` lines are objects with string fields ``label``
-    and ``text``.  Lines end at ``\n``; a ``\r`` before it is dropped.
+    and ``text``.  Lines end at ``\n``; a ``\r`` before it is dropped, and
+    so is a UTF-8 byte-order mark at the start of the file.
     Labels are trimmed and lowercased, as
     :func:`~lexid.lexicon.load_lexicon` lowercases language directory
     names, so ``FR`` and ``fr`` name one language.  Lines that are not
@@ -142,6 +143,8 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
                 )
                 malformed += 1
                 continue
+            if line_no == 1:
+                line = line.removeprefix("\ufeff")
             parsed = _parse_line(line, format, path, line_no)
             if parsed is None:
                 malformed += 1
@@ -343,25 +346,23 @@ def _emit_table(report: EvaluationReport) -> str:
 
     # Confusion grid in predicted-rows x gold-columns orientation; each
     # column is normalized by its gold total and sums to 100.00%.
-    rows = [*(label for label in matrix.predicted_labels if label != UNCLASSIFIED)]
-    row_names = {label: label for label in rows}
-    rows.append(UNCLASSIFIED)
-    row_names[UNCLASSIFIED] = "not classified"
+    rows = matrix.predicted_labels
+    row_names = ["not classified" if row == UNCLASSIFIED else row for row in rows]
     per_column = {
         gold: _column_percentages(
             [matrix.counts[gold][row] for row in rows], matrix.row_total(gold)
         )
         for gold in golds
     }
-    name_width = max(len("predicted"), *(len(row_names[r]) for r in rows))
+    name_width = max(len("predicted"), *map(len, row_names))
     cell_width = max(8, *(len(g) for g in golds))
     lines.append("Confusion (% of each gold language's documents; columns are gold)")
     header = f"  {'predicted':<{name_width}}"
     for gold in golds:
         header += f"  {gold:>{cell_width}}"
     lines.append(header)
-    for i, row in enumerate(rows):
-        line = f"  {row_names[row]:<{name_width}}"
+    for i, name in enumerate(row_names):
+        line = f"  {name:<{name_width}}"
         for gold in golds:
             line += f"  {per_column[gold][i]:>{cell_width - 1}.2f}%"
         lines.append(line)

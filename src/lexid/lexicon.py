@@ -12,14 +12,15 @@ On disk a lexicon is a directory with one subdirectory per language::
     <root>/<lang>/stopwords.txt     one word per line
     <root>/<lang>/diacritics.txt    one character per line
 
-Files are UTF-8, and lines end at ``\n``; surrounding whitespace is
-trimmed, blank lines and lines starting with ``#`` are ignored.  A stop
-word is one normalized token (:func:`lexid.normalize.normalize_text`)
-and a diacritic one letter; both are lowercase and canonically composed
-(NFC).  The loader normalizes each entry itself and warns about any it
-had to change; :class:`LexiconSet` accepts only entries already in that
-form.  The shipped ``data/demo`` lexicon holds the built-in diacritic
-sets of the five supported languages.
+Files are UTF-8, and lines end at ``\n``; a leading byte-order mark is
+ignored, surrounding whitespace is trimmed, and blank lines and lines
+starting with ``#`` are ignored.  A stop word is one normalized token
+(:func:`lexid.normalize.normalize_text`) and a diacritic one letter;
+both are lowercase and canonically composed (NFC).  The loader
+normalizes each entry itself and warns about any it had to change;
+:class:`LexiconSet` accepts only entries already in that form.  The
+shipped ``data/demo`` lexicon holds the built-in diacritic sets of the
+five supported languages.
 """
 
 from __future__ import annotations
@@ -104,8 +105,10 @@ class LexiconSet:
     def __init__(self, languages: Mapping[str, LanguageLexicon]):
         if not languages:
             raise LexiconError("lexicon contains no languages")
-        self._languages: dict[str, LanguageLexicon] = {}
-        for code, lexicon in languages.items():
+        self._languages = dict(languages)
+        self._codes = tuple(self._languages)
+        index: dict[str, dict[str, set[str]]] = {STOPWORD: {}, DIACRITIC: {}}
+        for code, lexicon in self._languages.items():
             if not code:
                 raise LexiconError("empty language code")
             if code in (UNCLASSIFIED, UNDETERMINED):
@@ -115,14 +118,7 @@ class LexiconSet:
                     if not _is_canonical(kind, term):
                         message = _NOT_CANONICAL[kind].format(term)
                         raise LexiconError(f"language {code!r}: {message}")
-            self._languages[code] = lexicon
-
-        index: dict[str, dict[str, set[str]]] = {STOPWORD: {}, DIACRITIC: {}}
-        for code, lexicon in self._languages.items():
-            for word in lexicon.stopwords:
-                index[STOPWORD].setdefault(word, set()).add(code)
-            for ch in lexicon.diacritics:
-                index[DIACRITIC].setdefault(ch, set()).add(code)
+                    index[kind].setdefault(term, set()).add(code)
         self._index: dict[str, dict[str, frozenset[str]]] = {
             kind: {term: frozenset(codes) for term, codes in terms.items()}
             for kind, terms in index.items()
@@ -136,11 +132,11 @@ class LexiconSet:
 
     @property
     def codes(self) -> tuple[str, ...]:
-        return tuple(self._languages)
+        return self._codes
 
     @property
     def n_languages(self) -> int:
-        return len(self._languages)
+        return len(self._codes)
 
     @property
     def all_diacritics(self) -> frozenset[str]:
@@ -325,7 +321,7 @@ def _iter_terms(path: Path):
         raise LexiconError(
             f"{path}:{line_no}: invalid UTF-8 at byte {exc.start - line_start + 1}"
         ) from None
-    for line_no, line in enumerate(text.split("\n"), 1):
+    for line_no, line in enumerate(text.removeprefix("\ufeff").split("\n"), 1):
         term = line.strip()
         if term and not term.startswith("#"):
             yield line_no, term

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lexicon import DIACRITIC, STOPWORD, LexiconSet
+from .lexicon import DIACRITIC, STOPWORD, LexiconError, LexiconSet
 from .normalize import NormalizedText
 
 #: ``tf_mode`` -> term frequency of an occurrence count.
@@ -139,7 +139,7 @@ def score_all(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> dict[s
     """Score every language, in lexicon order, with a shared effective p."""
     n_languages = lex.n_languages
     if n_languages < 2:
-        raise ValueError("classification requires at least 2 languages")
+        raise LexiconError("classification requires at least 2 languages")
     p = _effective_p(nt, lex, cfg)
     tf = _TF[cfg.tf_mode]
     weights = _weights(cfg.weight_mode, n_languages)

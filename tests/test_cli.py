@@ -254,6 +254,15 @@ class TestDetectErrors:
         code, _, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test10", "x"])
         assert code == 1
 
+    def test_single_language_lexicon(self, capsys, tmp_path):
+        root = tmp_path / "single"
+        write_lexicon_dir(root, {"fr": (["le"], ["é"])})
+        code, out, err = run(
+            capsys, ["detect", "--lexicon", str(root), "--preset", "test9", "le café"]
+        )
+        assert (code, out) == (3, "")
+        assert "at least 2 languages" in err
+
 
 class TestEvaluate:
     @pytest.fixture()
@@ -362,6 +371,47 @@ class TestEvaluate:
         )
         assert code == 1
 
+    def test_tsv_byte_order_mark_is_ignored(self, capsys, ab_dir, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + "a\tle café\nb\tel ñu\n".encode())
+        code, out, _ = run(
+            capsys,
+            ["evaluate", "--lexicon", ab_dir, "--corpus", str(path), "--format", "tsv",
+             "--preset", "test9", "--report", "json"],
+        )
+        assert code == 0
+        assert json.loads(out)["confusion"] == {
+            "a": {"a": 1, "b": 0, "unclassified": 0},
+            "b": {"a": 0, "b": 1, "unclassified": 0},
+        }
+
+    def test_jsonl_byte_order_mark_is_ignored(self, capsys, ab_dir, tmp_path):
+        path = tmp_path / "bom.jsonl"
+        lines = [{"label": "a", "text": "le café"}, {"label": "b", "text": "el ñu"}]
+        path.write_bytes(
+            b"\xef\xbb\xbf" + "".join(f"{json.dumps(l)}\n" for l in lines).encode()
+        )
+        code, _, err = run(
+            capsys,
+            ["evaluate", "--lexicon", ab_dir, "--corpus", str(path), "--format", "jsonl",
+             "--preset", "test9"],
+        )
+        assert code == 0
+        assert "overall accuracy 100.00% over 2 documents" in err
+
+    def test_single_language_lexicon(self, capsys, tmp_path):
+        root = tmp_path / "single"
+        write_lexicon_dir(root, {"fr": (["le"], ["é"])})
+        path = tmp_path / "fr.tsv"
+        path.write_text("fr\tle café\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            ["evaluate", "--lexicon", str(root), "--corpus", str(path), "--format", "tsv",
+             "--preset", "test9"],
+        )
+        assert (code, out) == (3, "")
+        assert "at least 2 languages" in err
+
     def test_gold_label_outside_lexicon(self, capsys, ab_dir, tmp_path):
         path = tmp_path / "wrong.tsv"
         path.write_text("zz\tle café\n", encoding="utf-8")
@@ -382,6 +432,14 @@ class TestDict:
         code, _, _ = run(capsys, ["dict", "strip", "--in", str(src), "--out", str(out)])
         assert code == 0
         assert out.read_text(encoding="utf-8") == "si\nvotre\ncoeur\n"
+
+    def test_strip_ignores_byte_order_mark(self, capsys, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"\xef\xbb\xbf" + "și\nvotre\n".encode())
+        out = tmp_path / "out.txt"
+        code, _, _ = run(capsys, ["dict", "strip", "--in", str(src), "--out", str(out)])
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == "si\nvotre\n"
 
     def test_strip_invalid_utf8(self, capsys, tmp_path):
         src = tmp_path / "in.txt"

@@ -1,3 +1,4 @@
+import pickle
 import sys
 
 import pytest
@@ -204,6 +205,17 @@ class TestLoadAndSave:
         lex = load_lexicon(tmp_path)
         assert lex.languages["fr"].stopwords == frozenset({"le"})
 
+    @pytest.mark.parametrize(
+        "name, lines",
+        [("stopwords.txt", ["# comment", "le"]), ("diacritics.txt", ["é"])],
+    )
+    def test_byte_order_mark_ignored(self, tmp_path, name, lines):
+        write_lexicon_dir(tmp_path, {"fr": (["le"], ["é"]), "it": (["di"], ["ì"])})
+        path = tmp_path / "fr" / name
+        path.write_bytes(b"\xef\xbb\xbf" + "".join(f"{l}\n" for l in lines).encode())
+        lex = load_lexicon(tmp_path)
+        assert lex.languages["fr"] == LanguageLexicon(frozenset({"le"}), frozenset({"é"}))
+
     def test_loader_normalizes_and_reports(self, tmp_path):
         write_lexicon_dir(tmp_path, {"fr": (["Le"], ["é"]), "it": (["di"], ["ì"])})
         findings = []
@@ -279,6 +291,16 @@ class TestConstructorInvariants:
                 assert rebuilt.term_index(DIACRITIC)[ch] == demo_lex.term_index(DIACRITIC)[ch]
         assert rebuilt == demo_lex
         assert rebuilt.fingerprint() == demo_lex.fingerprint()
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_pickle_round_trip(self, demo_lex, augmented):
+        lex = augment_with_stripped_variants(demo_lex) if augmented else demo_lex
+        copy = pickle.loads(pickle.dumps(lex))
+        assert copy == lex
+        assert copy.codes == lex.codes
+        for kind in (STOPWORD, DIACRITIC):
+            assert copy.term_index(kind) == lex.term_index(kind)
+        assert copy.all_diacritics == lex.all_diacritics
 
     def test_languages_is_read_only(self, demo_lex):
         lex = LexiconSet(dict(demo_lex.languages))

@@ -29,7 +29,6 @@ def _reference_normalize(raw: str) -> NormalizedText:
         tokens=tuple(tokens),
         char_freq=dict(char_freq),
         token_freq=dict(Counter(tokens)),
-        raw_length=len(raw),
     )
 
 
@@ -55,8 +54,8 @@ tricky_text = st.lists(
     max_size=40,
 ).map("".join)
 
-# Texts on both sides of the URL-marker test that picks the letter-run
-# pass: the markers themselves, their uppercase and near misses.
+# Texts on both sides of the URL-marker test that decides whether URL
+# chunks are removed: the markers themselves, their uppercase and near misses.
 url_marker_text = st.lists(
     st.one_of(
         st.sampled_from(ROMANCE_LETTERS),
@@ -82,14 +81,12 @@ class TestNormalizeExamples:
         nt = normalize_text("")
         assert nt.tokens == ()
         assert nt.char_freq == {}
-        assert nt.raw_length == 0
 
     def test_urls_sigils_digits_and_case(self):
         raw = "Café—CAFÉ http://t.co/x #café123"
         nt = normalize_text(raw)
         assert nt.tokens == ("café", "café", "café")
         assert nt.char_freq == {"c": 3, "a": 3, "f": 3, "é": 3}
-        assert nt.raw_length == len(raw)
 
     def test_www_prefix_dropped_whole(self):
         assert normalize_text("voir www.example.com demain").tokens == ("voir", "demain")
@@ -184,9 +181,14 @@ class TestAgainstReference:
         for raw in (
             "x²y ½z", "#@http://a.b c", "a_b৴c", "ok www.x.y/ö", "é\u2028ü\x85ç",
             "1www.x", "a:http://b", "##", "_é\u00a0www.é",
-            # Near the URL-marker test that picks the letter-run pass.
+            # Near the URL-marker test that decides whether URL chunks are removed.
             "awww.b", "a://", "x www", "\uff37\uff37\uff37.a", "WWW.a b", "ww.a",
             "a:/b", "é://ü", "x www.", "é²www.a", "http:/a", "Ǉwww.a",
+            # A removed URL chunk next to its neighbours: first, last,
+            # between two other chunks and ended by unusual whitespace.
+            "http://a.b é ü", "é ü www.a.b", "www.a\u3000http://b ç",
+            "é\xa0www.a\xa0#http://b\xa0ü", "www.é\x85ü", "á http://x\u2028é",
+            "é https://x/é é", "#@www.a@b c",
         ):
             nt, ref = normalize_text(raw), _reference_normalize(raw)
             assert nt == ref, raw
