@@ -4,8 +4,9 @@ Exit codes: 0 success (an unclassified text is *not* an error), 1 usage
 error, 2 I/O error, 3 lexicon validation failure, 4 corpus rejected for
 too many malformed lines.  ``detect --stdin`` and ``detect --file``
 classify one text per line, decoded as UTF-8 whatever the interpreter's
-stdio encoding; lines end only at ``\\n``, so a lone ``\\r`` stays
-inside its line.  A reader that closes stdout early, as in
+stdio encoding; a byte-order mark at the start of the input is dropped,
+and lines end only at ``\\n``, so a lone ``\\r`` stays inside its line.
+A reader that closes stdout early, as in
 ``lexid detect --stdin | head -1``, ends the run quietly with exit 0.
 Results go to stdout, logs and summaries to stderr.  ``--lexicon``
 defaults to the ``LID_LEXICON`` environment variable.
@@ -20,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .evaluation import CorpusFormatError, emit_report, evaluate, load_corpus
@@ -122,9 +122,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
 
     # Both line sources decode as UTF-8 whatever the interpreter's stdio
-    # settings: an invalid byte becomes a lone surrogate, which separates
-    # tokens, and a lone \r stays inside its line.
-    decoding = {"encoding": "utf-8", "errors": "surrogateescape", "newline": "\n"}
+    # settings: a byte-order mark at the start of the input is dropped, an
+    # invalid byte becomes a lone surrogate, which separates tokens, and a
+    # lone \r stays inside its line.
+    decoding = {"encoding": "utf-8-sig", "errors": "surrogateescape", "newline": "\n"}
     with contextlib.ExitStack() as stack:
         if args.stdin:
             lines = io.TextIOWrapper(sys.stdin.buffer, **decoding)
@@ -196,6 +197,8 @@ def _cmd_dict(args: argparse.Namespace) -> int:
 
 
 def _cmd_presets(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
     for name, cfg in PRESETS.items():
         p = Fraction(cfg.p).limit_denominator(1000)
         fallback = "on" if cfg.stopword_fallback else "off"

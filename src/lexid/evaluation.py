@@ -10,19 +10,20 @@ lexicon and the configuration once, classifies slices of the corpus
 and returns a count per ``(gold, predicted, reason)``.  The counts are
 summed, and integer sums do not depend on their order, so any
 ``parallelism`` value produces a report byte-identical to the
-sequential one.
+sequential one.  The process pool is imported only when
+:func:`evaluate` starts workers, and :mod:`csv` only when a CSV report
+is written, so importing :mod:`lexid` loads neither.
 """
 
 from __future__ import annotations
 
-import csv
+import codecs
 import io
 import json
 import logging
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -115,7 +116,8 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
     ``tsv`` lines are ``label<TAB>text`` (tabs after the first stay in
     the text); ``jsonl`` lines are objects with string fields ``label``
     and ``text``.  Lines end at ``\n``; a ``\r`` before it is dropped, and
-    so is a UTF-8 byte-order mark at the start of the file.
+    so is a UTF-8 byte-order mark at the start of the file, which leaves
+    a first line holding only the mark blank.
     Labels are trimmed and lowercased, as
     :func:`~lexid.lexicon.load_lexicon` lowercases language directory
     names, so ``FR`` and ``fr`` name one language.  Lines that are not
@@ -132,7 +134,7 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
     with open(path, "rb") as handle:
         for line_no, data in enumerate(handle, 1):
             data = data.rstrip(b"\r\n")
-            if not data:
+            if not data or (line_no == 1 and data == codecs.BOM_UTF8):
                 continue
             total += 1
             try:
@@ -240,6 +242,8 @@ def evaluate(
     if workers < 2:
         tally = _tally(golds, texts, lex, cfg, 0, len(corpus))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         size = math.ceil(len(corpus) / workers)
         bounds = [(i, i + size) for i in range(0, len(corpus), size)]
         with ProcessPoolExecutor(
@@ -371,6 +375,8 @@ def _emit_table(report: EvaluationReport) -> str:
 
 
 def _emit_csv(report: EvaluationReport) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     matrix = report.matrix

@@ -25,7 +25,6 @@ five supported languages.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import unicodedata
 from collections.abc import Iterable, Mapping
@@ -149,6 +148,8 @@ class LexiconSet:
 
     def fingerprint(self) -> str:
         """Stable hex digest of the full lexicon content."""
+        import hashlib  # loads OpenSSL; only evaluation reports need the digest
+
         digest = hashlib.sha256()
         for code in sorted(self._languages):
             lexicon = self._languages[code]

@@ -143,6 +143,25 @@ class TestDetect:
         assert (by_file.returncode, by_stdin.returncode) == (0, 0)
         assert by_file.stdout == by_stdin.stdout == b"a\nb\nund\nund\nb\n"
 
+    def test_file_and_stdin_agree_on_byte_order_mark(self, tmp_path):
+        # A URL right after a kept U+FEFF would not be dropped, and its
+        # "le" would score fr and it.
+        plain = "http://x.co/le el\nle café\n".encode()
+        argv = [sys.executable, "-m", "lexid.cli", "detect", "--scores"]
+        argv += ["--lexicon", DEMO, "--preset", "test9"]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        outputs = []
+        for data in (plain, b"\xef\xbb\xbf" + plain):
+            src = tmp_path / "lines.txt"
+            src.write_bytes(data)
+            by_file = subprocess.run(argv + ["--file", str(src)], capture_output=True, env=env)
+            by_stdin = subprocess.run(argv + ["--stdin"], input=data, capture_output=True, env=env)
+            assert (by_file.returncode, by_stdin.returncode) == (0, 0)
+            outputs += [by_file.stdout, by_stdin.stdout]
+        assert len(set(outputs)) == 1
+        first = json.loads(outputs[0].splitlines()[0])
+        assert first["scores"]["fr"] == first["scores"]["it"] == 0.0
+
     def test_file_and_stdin_split_lines_only_at_newline(self, tmp_path):
         data = "le café\rel niño\n".encode()
         src = tmp_path / "lines.txt"
@@ -183,6 +202,26 @@ class TestDetect:
             code_a, out_a, _ = run(capsys, base + ["--preset", name, "--scores", text])
             code_b, out_b, _ = run(capsys, base + preset_flags(name) + ["--scores", text])
             assert (code_a, out_a) == (code_b, out_b)
+
+
+class TestStartup:
+    def test_detect_loads_no_pool_digest_csv_or_fractions(self):
+        # -S keeps site-packages start-up hooks, which may import these
+        # modules themselves, out of the check.
+        argv = ["detect", "le café est déjà froid", "--preset", "test9", "--lexicon", DEMO]
+        script = (
+            "import sys, lexid, lexid.cli\n"
+            f"lexid.cli.main({argv!r})\n"
+            "heavy = ['concurrent.futures.process', 'multiprocessing', 'hashlib', '_hashlib',"
+            " 'csv', 'fractions']\n"
+            "print([name for name in heavy if name in sys.modules])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "utf-8"}
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["fr", "[]"]
 
 
 class TestDetectErrors:

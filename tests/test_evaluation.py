@@ -82,6 +82,24 @@ class TestLoadCorpusTsv:
         messages = [r.getMessage() for r in caplog.records]
         assert messages == [f"{path}:1: invalid UTF-8 at byte 7, skipped"]
 
+    def test_byte_order_mark_alone_on_first_line_is_blank(self, tmp_path, caplog):
+        path = tmp_path / "c.tsv"
+        path.write_bytes(b"\xef\xbb\xbf\r\nfr\tle\n")
+        with caplog.at_level(logging.WARNING, logger="lexid.evaluation"):
+            docs = load_corpus(path, "tsv")
+        assert docs == [LabeledDocument(gold="fr", text="le", id=0)]
+        assert caplog.records == []
+
+    def test_invalid_utf8_offset_counts_the_byte_order_mark(self, tmp_path, caplog):
+        path = tmp_path / "c.tsv"
+        good = "".join(f"fr\ttexte {i}\n" for i in range(10)).encode()
+        path.write_bytes(b"\xef\xbb\xbffr\tcaf\xe9\n" + good)
+        with caplog.at_level(logging.WARNING, logger="lexid.evaluation"):
+            docs = load_corpus(path, "tsv")
+        assert len(docs) == 10
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [f"{path}:1: invalid UTF-8 at byte 10, skipped"]
+
     def test_too_many_invalid_utf8_lines_abort(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_bytes(b"fr\tok\n" + b"fr\t\xff\n" * 3)
@@ -104,6 +122,14 @@ class TestLoadCorpusJsonl:
             docs = load_corpus(write(tmp_path / "c.jsonl", "\n".join(lines) + "\n"), "jsonl")
         assert len(docs) == 20
         assert sum("skipped" in r.getMessage() for r in caplog.records) == 2
+
+    def test_byte_order_mark_alone_on_first_line_is_blank(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf\n" + b'{"label": "ro", "text": "si"}\n')
+        with caplog.at_level(logging.WARNING, logger="lexid.evaluation"):
+            docs = load_corpus(path, "jsonl")
+        assert docs == [LabeledDocument(gold="ro", text="si", id=0)]
+        assert caplog.records == []
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
@@ -206,15 +232,12 @@ class TestEvaluate:
             assert emit_report(sequential, fmt) == emit_report(parallel, fmt)
 
     def test_spawned_workers_equal_sequential(self, demo_lex, monkeypatch):
-        import lexid.evaluation
-
         corpus, _ = synth_corpus(demo_lex, 20)
         cfg = preset_config("test9")
         sequential = evaluate(corpus, demo_lex, cfg, parallelism=1)
         spawn = multiprocessing.get_context("spawn")
         monkeypatch.setattr(
-            lexid.evaluation,
-            "ProcessPoolExecutor",
+            "concurrent.futures.ProcessPoolExecutor",
             functools.partial(ProcessPoolExecutor, mp_context=spawn),
         )
         parallel = evaluate(corpus, demo_lex, cfg, parallelism=2)
@@ -261,7 +284,7 @@ class TestEvaluate:
 
         corpus = make_corpus([("a", "le"), ("b", "el"), ("a", "zz")] * 10)
         serial = evaluate(corpus, ab_lex, preset_config("test3"))
-        monkeypatch.setattr(lexid.evaluation, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(lexid.evaluation, "_worker_state", ())
         monkeypatch.setattr("os.cpu_count", lambda: cpu_count)
         report = evaluate(corpus, ab_lex, preset_config("test3"), parallelism=jobs)
