@@ -8,15 +8,6 @@ depend on dictionary size, and reports an explicit ``und`` outcome
 instead of guessing when the evidence is absent or tied.
 """
 
-from .evaluation import (
-    ConfusionMatrix,
-    CorpusFormatError,
-    EvaluationReport,
-    LabeledDocument,
-    emit_report,
-    evaluate,
-    load_corpus,
-)
 from .lexicon import (
     DIACRITIC,
     FOLDING_TABLE,
@@ -82,3 +73,14 @@ __all__ = [
     "strip_diacritics",
     "validate_lexicon",
 ]
+
+
+# Every name in __all__ that the imports above leave unbound comes from
+# lexid.evaluation, loaded on first use (PEP 562) so that a program that
+# only classifies texts never imports the evaluation code.
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import evaluation
+
+    return getattr(evaluation, name)

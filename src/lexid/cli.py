@@ -7,9 +7,12 @@ classify one text per line, decoded as UTF-8 whatever the interpreter's
 stdio encoding; a byte-order mark at the start of the input is dropped,
 and lines end only at ``\\n``, so a lone ``\\r`` stays inside its line.
 A reader that closes stdout early, as in
-``lexid detect --stdin | head -1``, ends the run quietly with exit 0.
+``lexid detect --stdin | head -1``, ends the run quietly with exit 0;
+a command started with the stdin or stdout it needs closed exits 2.
 Results go to stdout, logs and summaries to stderr.  ``--lexicon``
-defaults to the ``LID_LEXICON`` environment variable.
+defaults to the ``LID_LEXICON`` environment variable.  The evaluation
+code is imported only by ``evaluate``, and :mod:`json` only by
+``evaluate`` and ``detect --scores``, so ``detect`` starts without them.
 """
 
 from __future__ import annotations
@@ -17,13 +20,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
 import logging
 import os
 import sys
 from pathlib import Path
 
-from .evaluation import CorpusFormatError, emit_report, evaluate, load_corpus
 from .lexicon import (
     UNDETERMINED,
     LexiconError,
@@ -106,6 +107,14 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
         raise UsageError(f"lexid: error: {exc}") from None
 
 
+def _std(name: str):
+    """``sys.stdin`` or ``sys.stdout``, which is ``None`` if its fd was closed at start."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
+    return stream
+
+
 def _require_lexicon(args: argparse.Namespace, warnings_to=None):
     if not args.lexicon:
         raise UsageError("lexid: error: --lexicon is required (or set LID_LEXICON)")
@@ -118,8 +127,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         raise UsageError(
             "lexid: error: exactly one input source (TEXT, --stdin or --file) is required"
         )
+    out = _std("stdout")
     lex = _require_lexicon(args)
     cfg = _resolve_config(args)
+    if args.scores:
+        import json
 
     # Both line sources decode as UTF-8 whatever the interpreter's stdio
     # settings: a byte-order mark at the start of the input is dropped, an
@@ -128,7 +140,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     decoding = {"encoding": "utf-8-sig", "errors": "surrogateescape", "newline": "\n"}
     with contextlib.ExitStack() as stack:
         if args.stdin:
-            lines = io.TextIOWrapper(sys.stdin.buffer, **decoding)
+            lines = io.TextIOWrapper(_std("stdin").buffer, **decoding)
             # Detaching hands the buffer back unclosed, so stdin stays open.
             stack.callback(lines.detach)
         elif args.file is not None:
@@ -143,26 +155,34 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                     json.dumps(
                         {"language": label, "reason": verdict.reason, "scores": scores},
                         ensure_ascii=False,
-                    )
+                    ),
+                    file=out,
                 )
             else:
-                print(label)
+                print(label, file=out)
     return EXIT_OK
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import CorpusFormatError, emit_report, evaluate, load_corpus
+
     if args.jobs < 1:
         raise UsageError("lexid: error: --jobs must be >= 1")
+    out = None if args.out else _std("stdout")
     lex = _require_lexicon(args)
     cfg = _resolve_config(args)
-    corpus = load_corpus(args.corpus, args.format)
+    try:
+        corpus = load_corpus(args.corpus, args.format)
+    except CorpusFormatError as exc:
+        print(f"lexid: corpus error: {exc}", file=sys.stderr)
+        return EXIT_CORPUS
     report = evaluate(corpus, lex, cfg, parallelism=args.jobs)
     payload = emit_report(report, args.report)
-    if args.out:
+    if out is None:
         Path(args.out).write_bytes(payload)
     else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+        out.buffer.write(payload)
+        out.buffer.flush()
     print(
         f"overall accuracy {report.overall_accuracy * 100:.2f}%"
         f" over {report.total_documents} documents",
@@ -180,29 +200,34 @@ def _cmd_dict(args: argparse.Namespace) -> int:
         lex = _require_lexicon(args)
         save_lexicon(augment_with_stripped_variants(lex), args.out)
         return EXIT_OK
+    out = _std("stdout")
     if args.action == "validate":
         findings = []
         lex = _require_lexicon(args, warnings_to=findings)
         findings.extend(validate_lexicon(lex))
         for finding in findings:
-            print(finding)
+            print(finding, file=out)
         if any(f.severity == "error" for f in findings):
             return EXIT_LEXICON
         return EXIT_OK
     # show-builtin-diacritics
     for lang_dir in sorted(p for p in demo_lexicon_dir().iterdir() if p.is_dir()):
         letters = "".join(term for _, term in _iter_terms(lang_dir / "diacritics.txt"))
-        print(f"{lang_dir.name}\t{letters}")
+        print(f"{lang_dir.name}\t{letters}", file=out)
     return EXIT_OK
 
 
 def _cmd_presets(args: argparse.Namespace) -> int:
     from fractions import Fraction
 
+    out = _std("stdout")
     for name, cfg in PRESETS.items():
         p = Fraction(cfg.p).limit_denominator(1000)
         fallback = "on" if cfg.stopword_fallback else "off"
-        print(f"{name}\tp={p}\ttf={cfg.tf_mode}\tweight={cfg.weight_mode}\tfallback={fallback}")
+        print(
+            f"{name}\tp={p}\ttf={cfg.tf_mode}\tweight={cfg.weight_mode}\tfallback={fallback}",
+            file=out,
+        )
     return EXIT_OK
 
 
@@ -264,7 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         code = args.func(args)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except BrokenPipeError:
         # Send the output still buffered to devnull, so the flush at
@@ -274,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except CorpusFormatError as exc:
-        print(f"lexid: corpus error: {exc}", file=sys.stderr)
-        return EXIT_CORPUS
     except LexiconError as exc:
         print(f"lexid: lexicon error: {exc}", file=sys.stderr)
         return EXIT_LEXICON

@@ -10,9 +10,10 @@ lexicon and the configuration once, classifies slices of the corpus
 and returns a count per ``(gold, predicted, reason)``.  The counts are
 summed, and integer sums do not depend on their order, so any
 ``parallelism`` value produces a report byte-identical to the
-sequential one.  The process pool is imported only when
-:func:`evaluate` starts workers, and :mod:`csv` only when a CSV report
-is written, so importing :mod:`lexid` loads neither.
+sequential one.  The records are named tuples.  :mod:`lexid` imports
+this module on first use of one of its names, the process pool is
+imported only when :func:`evaluate` starts workers, and :mod:`csv` only
+when a CSV report is written.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import json
 import logging
 import math
 import os
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, namedtuple
 from pathlib import Path
 
 from .lexicon import UNCLASSIFIED, LexiconSet
@@ -41,44 +41,37 @@ class CorpusFormatError(ValueError):
     """Raised when a corpus file is unusable (too many malformed lines)."""
 
 
-@dataclass(frozen=True)
-class LabeledDocument:
+class LabeledDocument(namedtuple("LabeledDocument", "gold text id")):
     """One corpus entry: gold language, raw text, stable ordinal id."""
 
-    gold: str
-    text: str
-    id: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(namedtuple("ConfusionMatrix", "counts gold_labels predicted_labels")):
     """Gold-major counts: ``counts[gold][predicted-or-unclassified]``.
 
     ``gold_labels`` lists the gold languages present in the corpus and
-    ``predicted_labels`` every column, both in lexicon order with
+    ``predicted_labels`` every column, both tuples in lexicon order with
     ``unclassified`` last.  Each gold row sums to that language's
     document count.
     """
 
-    counts: dict[str, dict[str, int]]
-    gold_labels: tuple[str, ...]
-    predicted_labels: tuple[str, ...]
+    __slots__ = ()
 
     def row_total(self, gold: str) -> int:
         return sum(self.counts[gold].values())
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(namedtuple("EvaluationReport", "matrix config_echo unclassified_reasons")):
     """Confusion counts plus the configuration that made them.
 
-    ``unclassified_reasons[gold]`` splits the ``unclassified`` column by
-    reason.  The rates are derived from ``matrix``.
+    ``config_echo`` is a dict of the configuration, the language codes
+    and the lexicon fingerprint.  ``unclassified_reasons[gold]`` splits
+    the ``unclassified`` column by reason.  The rates are derived from
+    ``matrix``.
     """
 
-    matrix: ConfusionMatrix
-    config_echo: dict
-    unclassified_reasons: dict[str, dict[str, int]]
+    __slots__ = ()
 
     @property
     def per_language_accuracy(self) -> dict[str, float]:
@@ -270,7 +263,7 @@ def evaluate(
             counts=counts, gold_labels=gold_labels, predicted_labels=predicted_labels
         ),
         config_echo={
-            **asdict(cfg),
+            **cfg._asdict(),
             "languages": list(lex.codes),
             "lexicon_fingerprint": lex.fingerprint(),
         },

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import logging
 import unicodedata
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
@@ -68,28 +68,28 @@ class LexiconError(ValueError):
     """Raised for structural problems in lexicon data or files."""
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One diagnostic produced by lexicon loading or validation."""
+class Finding(namedtuple("Finding", "severity message")):
+    """One diagnostic produced by lexicon loading or validation.
 
-    severity: str  # "error" or "warning"
-    message: str
+    ``severity`` is ``"error"`` or ``"warning"``.
+    """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
-class LanguageLexicon:
+class LanguageLexicon(namedtuple("LanguageLexicon", "stopwords diacritics")):
     """Stop words and diacritics of a single language.
 
-    Stop words must be single, lowercase, NFC-composed word tokens;
-    diacritics must be single lowercase, NFC-composed letters.  Construct
-    through :class:`LexiconSet`, which enforces both.
+    Both fields are ``frozenset[str]``.  Stop words must be single,
+    lowercase, NFC-composed word tokens; diacritics must be single
+    lowercase, NFC-composed letters.  Construct through
+    :class:`LexiconSet`, which enforces both.
     """
 
-    stopwords: frozenset[str]
-    diacritics: frozenset[str]
+    __slots__ = ()
 
 
 class LexiconSet:

@@ -23,12 +23,13 @@ Scoring visits only the dictionary terms the text contains: its cost is
 proportional to the text's distinct tokens and characters and does not
 depend on dictionary size.  Each weight is computed once per (weight
 mode, language count) and then read from a table indexed by ``n``.
+:class:`ScoringConfig` and :class:`Verdict` are named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .lexicon import DIACRITIC, STOPWORD, LexiconError, LexiconSet
@@ -67,29 +68,32 @@ TIE = "tie"
 TIE_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ScoringConfig:
+class ScoringConfig(namedtuple("ScoringConfig", "p tf_mode weight_mode stopword_fallback")):
     """Knobs of the scoring function.
 
     ``p`` weighs stop-word evidence; diacritics get ``1 - p``.  With
     ``stopword_fallback`` on, a text containing no known diacritic is
-    scored with an effective ``p`` of 1.
+    scored with an effective ``p`` of 1.  Every way of making one,
+    ``_replace``, ``_make`` and unpickling included, checks the values.
     """
 
-    p: float
-    tf_mode: str = "raw"
-    weight_mode: str = "unit"
-    stopword_fallback: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be within [0, 1], got {self.p}")
-        if self.tf_mode not in TF_MODES:
-            raise ValueError(f"tf_mode must be one of {TF_MODES}, got {self.tf_mode!r}")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ValueError(
-                f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}"
-            )
+    def __new__(cls, p, tf_mode="raw", weight_mode="unit", stopword_fallback=False):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must be within [0, 1], got {p}")
+        if tf_mode not in TF_MODES:
+            raise ValueError(f"tf_mode must be one of {TF_MODES}, got {tf_mode!r}")
+        if weight_mode not in WEIGHT_MODES:
+            raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
+        return super().__new__(cls, p, tf_mode, weight_mode, stopword_fallback)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):  # every pickle protocol rebuilds through __new__
+        return type(self), tuple(self)
 
 
 #: The nine stock configurations used throughout the docs and tests.
@@ -121,12 +125,10 @@ def preset_config(name: str) -> ScoringConfig:
         ) from None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "language reason", defaults=(None,))):
     """Classification outcome: a language, or why none was chosen."""
 
-    language: str | None
-    reason: str | None = None
+    __slots__ = ()
 
 
 def _effective_p(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> float:

@@ -204,24 +204,75 @@ class TestDetect:
             assert (code_a, out_a) == (code_b, out_b)
 
 
+def run_fresh(script):
+    """Run ``script`` in a fresh ``python -S`` and return its stdout lines.
+
+    -S keeps site-packages start-up hooks, which may import modules
+    themselves, out of the checks.
+    """
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def loaded_after_detect(argv, modules):
+    """Run ``lexid.cli.main(argv)`` fresh; its stdout, then which of ``modules`` it loaded."""
+    return run_fresh(
+        "import sys, lexid, lexid.cli\n"
+        f"lexid.cli.main({argv!r})\n"
+        f"print([name for name in {modules!r} if name in sys.modules])\n"
+    )
+
+
 class TestStartup:
+    ARGV = ["detect", "le café est déjà froid", "--preset", "test9", "--lexicon", DEMO]
+
     def test_detect_loads_no_pool_digest_csv_or_fractions(self):
-        # -S keeps site-packages start-up hooks, which may import these
-        # modules themselves, out of the check.
-        argv = ["detect", "le café est déjà froid", "--preset", "test9", "--lexicon", DEMO]
-        script = (
-            "import sys, lexid, lexid.cli\n"
-            f"lexid.cli.main({argv!r})\n"
-            "heavy = ['concurrent.futures.process', 'multiprocessing', 'hashlib', '_hashlib',"
-            " 'csv', 'fractions']\n"
-            "print([name for name in heavy if name in sys.modules])\n"
+        heavy = [
+            "concurrent.futures.process", "multiprocessing", "hashlib", "_hashlib", "csv",
+            "fractions",
+        ]
+        assert loaded_after_detect(self.ARGV, heavy) == ["fr", "[]"]
+
+    def test_detect_loads_no_dataclasses_inspect_json_or_evaluation(self):
+        heavy = ["dataclasses", "inspect", "json", "lexid.evaluation"]
+        assert loaded_after_detect(self.ARGV, heavy) == ["fr", "[]"]
+
+    def test_detect_scores_still_prints_json(self):
+        *lines, loaded = loaded_after_detect([*self.ARGV, "--scores"], ["json"])
+        assert loaded == "['json']"
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert (payload["language"], payload["reason"]) == ("fr", None)
+        assert payload["scores"]["fr"] > 0
+
+    def test_star_import_binds_every_public_name(self):
+        lines = run_fresh(
+            "import sys, lexid\n"
+            "print('lexid.evaluation' in sys.modules)\n"
+            "names = {}\n"
+            "exec('from lexid import *', names)\n"
+            "print(sorted(set(lexid.__all__) - names.keys()))\n"
+            "print(names['evaluate'] is lexid.evaluation.evaluate)\n"
         )
-        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "utf-8"}
-        done = subprocess.run(
-            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["fr", "[]"]
+        assert lines == ["False", "[]", "True"]
+
+    def test_evaluation_names_resolve_to_the_module(self):
+        import lexid.evaluation
+
+        shared = [name for name in lexid.__all__ if hasattr(lexid.evaluation, name)]
+        assert {"evaluate", "load_corpus", "emit_report", "EvaluationReport"} <= set(shared)
+        for name in shared:
+            assert getattr(lexid, name) is getattr(lexid.evaluation, name)
+        assert lexid.evaluate is lexid.evaluation.evaluate
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'x'"):
+            lexid.x
+        assert not hasattr(lexid, "evaluation_report")
 
 
 class TestDetectErrors:
@@ -552,3 +603,56 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 1
+
+
+class TestClosedStreams:
+    """With fd 0 or fd 1 closed at start, Python sets ``sys.stdin``/``sys.stdout`` to None."""
+
+    @pytest.fixture()
+    def corpus_tsv(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("a\tle café\nb\tel ñu\n", encoding="utf-8")
+        return str(path)
+
+    def test_detect_stdin_closed(self, capsys, monkeypatch, ab_dir):
+        monkeypatch.setattr(sys, "stdin", None)
+        argv = ["detect", "--lexicon", ab_dir, "--preset", "test9", "--stdin"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "lexid: i/o error: stdin is closed\n"
+
+    def test_detect_stdout_closed(self, capsys, monkeypatch, ab_dir):
+        monkeypatch.setattr(sys, "stdout", None)
+        code, _, err = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test9", "le"])
+        assert code == 2
+        assert err == "lexid: i/o error: stdout is closed\n"
+
+    def test_evaluate_stdout_closed(self, capsys, monkeypatch, ab_dir, corpus_tsv):
+        monkeypatch.setattr(sys, "stdout", None)
+        argv = ["evaluate", "--lexicon", ab_dir, "--corpus", corpus_tsv, "--format", "tsv",
+                "--preset", "test9"]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err == "lexid: i/o error: stdout is closed\n"
+
+    def test_evaluate_to_file_needs_no_stdout(
+        self, capsys, monkeypatch, ab_dir, corpus_tsv, tmp_path
+    ):
+        monkeypatch.setattr(sys, "stdout", None)
+        out_path = tmp_path / "report.json"
+        argv = ["evaluate", "--lexicon", ab_dir, "--corpus", corpus_tsv, "--format", "tsv",
+                "--preset", "test9", "--report", "json", "--out", str(out_path)]
+        code, _, err = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out_path.read_text(encoding="utf-8"))["total_documents"] == 2
+        assert "overall accuracy 100.00% over 2 documents" in err
+
+    @pytest.mark.parametrize("argv", [["presets"], ["dict", "show-builtin-diacritics"]])
+    def test_listing_stdout_closed(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert run(capsys, argv)[0] == 2
+
+    def test_stdin_closed_does_not_matter_without_stdin(self, capsys, monkeypatch, ab_dir):
+        monkeypatch.setattr(sys, "stdin", None)
+        code, out, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test9", "le"])
+        assert (code, out) == (0, "a\n")

@@ -12,12 +12,12 @@ from lexid import NormalizedText, normalize_text
 def _reference_normalize(raw: str) -> NormalizedText:
     """The chunk-by-chunk, character-by-character tokenizer ``normalize_text`` replaced.
 
-    Split on whitespace, strip leading sigils, drop URL-like chunks, then
-    cut each chunk into ``str.isalpha`` runs.
+    Split on whitespace and U+FEFF, strip leading sigils, drop URL-like
+    chunks, then cut each chunk into ``str.isalpha`` runs.
     """
     lowered = unicodedata.normalize("NFC", raw.lower())
     tokens = []
-    for chunk in lowered.split():
+    for chunk in re.split(r"[\s\ufeff]+", lowered):
         chunk = chunk.lstrip("#@")
         if not chunk or re.match(r"(?:[a-z][a-z0-9+.-]*://|www\.)", chunk):
             continue
@@ -43,11 +43,12 @@ ROMANCE_LETTERS += ROMANCE_LETTERS.upper()
 # Pieces that probe every branch of the tokenizer: non-letter numerics
 # the letter-run class admits, "_", sigils, URL fragments and their parts,
 # digits, a combining accent, separators str.split() knows beyond ASCII,
-# and a lone surrogate.  Drawn as often as single letters.
+# the byte-order mark that also ends a URL chunk, and a lone surrogate.
+# Drawn as often as single letters.
 TRICKY_PIECES = [
     "²", "½", "৴", "_", "#", "@", ":", "/", ".", "w", *"0123456789",
     "\u0301", " ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2028", "\u3000", "\udc80",
-    "http://", "www.",
+    "\ufeff", "http://", "www.",
 ]
 tricky_text = st.lists(
     st.one_of(st.sampled_from(ROMANCE_LETTERS), st.sampled_from(TRICKY_PIECES)),
@@ -90,6 +91,10 @@ class TestNormalizeExamples:
 
     def test_www_prefix_dropped_whole(self):
         assert normalize_text("voir www.example.com demain").tokens == ("voir", "demain")
+
+    def test_byte_order_mark_bounds_a_url_chunk(self):
+        assert normalize_text("\ufeffhttp://t.co/abc le").tokens == ("le",)
+        assert normalize_text("é http://t.co/a\ufeffle").tokens == ("é", "le")
 
     def test_at_sigil_stripped(self):
         assert normalize_text("@maria bonjour").tokens == ("maria", "bonjour")
@@ -189,6 +194,8 @@ class TestAgainstReference:
             "http://a.b é ü", "é ü www.a.b", "www.a\u3000http://b ç",
             "é\xa0www.a\xa0#http://b\xa0ü", "www.é\x85ü", "á http://x\u2028é",
             "é https://x/é é", "#@www.a@b c",
+            # A byte-order mark ends a URL chunk as whitespace does.
+            "\ufeffhttp://a.b é", "é\ufeffwww.a\ufeffü", "\ufeff#http://a\ufeff\ufeff",
         ):
             nt, ref = normalize_text(raw), _reference_normalize(raw)
             assert nt == ref, raw
