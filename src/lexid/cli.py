@@ -1,11 +1,13 @@
 """Command-line interface: detect, evaluate, dict, presets.
 
 Exit codes: 0 success (an unclassified text is *not* an error), 1 usage
-error, 2 I/O error, 3 lexicon validation failure, 4 corpus rejected for
-too many malformed lines.  ``detect --stdin`` and ``detect --file``
-classify one text per line, decoded as UTF-8 whatever the interpreter's
-stdio encoding; a byte-order mark at the start of the input is dropped,
-and lines end only at ``\\n``, so a lone ``\\r`` stays inside its line.
+error, 2 I/O error or an input too large for memory, 3 lexicon
+validation failure (a language code that is not UTF-8 text included), 4
+corpus rejected for too many malformed lines.  ``detect --stdin`` and
+``detect --file`` classify one text per line, decoded as UTF-8 whatever
+the interpreter's stdio encoding; a byte-order mark at the start of the
+input is dropped, and lines end only at ``\\n``, so a lone ``\\r`` stays
+inside its line.
 A reader that closes stdout early, as in
 ``lexid detect --stdin | head -1``, ends the run quietly with exit 0;
 a command started with the stdin or stdout it needs closed exits 2.
@@ -305,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_LEXICON
     except OSError as exc:
         print(f"lexid: i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:
+        print("lexid: i/o error: out of memory (input too large)", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:  # e.g. corpus gold labels outside the lexicon
         print(f"lexid: error: {exc}", file=sys.stderr)

@@ -114,12 +114,15 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
     Labels are trimmed and lowercased, as
     :func:`~lexid.lexicon.load_lexicon` lowercases language directory
     names, so ``FR`` and ``fr`` name one language.  Lines that are not
-    valid UTF-8 or are structurally malformed are counted as malformed
-    and, like lines with an empty label or text, skipped with a logged
+    valid UTF-8 or are structurally malformed, JSON that nests deeper
+    than the recursion limit or holds an integer longer than the
+    interpreter's digit limit included, are counted as malformed and,
+    like lines with an empty label or text, skipped with a logged
     ``path:line`` warning; when malformed lines exceed 10% of the
     non-blank lines, :class:`CorpusFormatError` is raised.
     """
-    if format not in ("tsv", "jsonl"):
+    parse = {"tsv": _parse_tsv, "jsonl": _parse_jsonl}.get(format)
+    if parse is None:
         raise ValueError(f"unknown corpus format {format!r}")
     documents: list[LabeledDocument] = []
     malformed = 0
@@ -131,53 +134,51 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
                 continue
             total += 1
             try:
-                line = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                logger.warning(
-                    "%s:%d: invalid UTF-8 at byte %d, skipped", path, line_no, exc.start + 1
-                )
+                line = _decode(data)
+                label, text = parse(line.removeprefix("\ufeff") if line_no == 1 else line)
+            except ValueError as exc:  # its message says why the line is malformed
+                logger.warning("%s:%d: %s, skipped", path, line_no, exc)
                 malformed += 1
                 continue
-            if line_no == 1:
-                line = line.removeprefix("\ufeff")
-            parsed = _parse_line(line, format, path, line_no)
-            if parsed is None:
-                malformed += 1
-                continue
-            label, text = parsed
-            if not label.strip() or not text.strip():
+            label = label.strip()
+            if not label or not text.strip():
                 logger.warning("%s:%d: empty label or text, skipped", path, line_no)
                 continue
-            documents.append(
-                LabeledDocument(gold=label.lower(), text=text, id=len(documents))
-            )
+            documents.append(LabeledDocument(gold=label.lower(), text=text, id=len(documents)))
     if total and malformed / total > MAX_MALFORMED_FRACTION:
         raise CorpusFormatError(
-            f"{path}: {malformed} of {total} lines malformed (more than 10%)"
+            f"{path}: {malformed} of {total} lines malformed"
+            f" (more than {MAX_MALFORMED_FRACTION:.0%})"
         )
     return documents
 
 
-def _parse_line(line: str, format: str, path, line_no: int) -> tuple[str, str] | None:
-    if format == "tsv":
-        label, sep, text = line.partition("\t")
-        if not sep:
-            logger.warning("%s:%d: no tab separator, skipped", path, line_no)
-            return None
-        return label.strip(), text
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"invalid UTF-8 at byte {exc.start + 1}") from None
+
+
+def _parse_tsv(line: str) -> tuple[str, str]:
+    label, sep, text = line.partition("\t")
+    if not sep:
+        raise ValueError("no tab separator")
+    return label, text
+
+
+def _parse_jsonl(line: str) -> tuple[str, str]:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        logger.warning("%s:%d: invalid JSON (%s), skipped", path, line_no, exc.msg)
-        return None
+    except (ValueError, RecursionError) as exc:  # also an integer or nesting past a limit
+        raise ValueError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
     if (
         not isinstance(obj, dict)
         or not isinstance(obj.get("label"), str)
         or not isinstance(obj.get("text"), str)
     ):
-        logger.warning("%s:%d: object lacks string label/text, skipped", path, line_no)
-        return None
-    return obj["label"].strip(), obj["text"]
+        raise ValueError("object lacks string label/text")
+    return obj["label"], obj["text"]
 
 
 def _tally(

@@ -95,8 +95,9 @@ class LanguageLexicon(namedtuple("LanguageLexicon", "stopwords diacritics")):
 class LexiconSet:
     """An ordered set of language lexicons plus the cross-language index.
 
-    Language codes must be non-empty and may not be :data:`UNCLASSIFIED`
-    or :data:`UNDETERMINED`, the labels of texts no language won.
+    Language codes must be non-empty UTF-8 text and may not be
+    :data:`UNCLASSIFIED` or :data:`UNDETERMINED`, the labels of texts no
+    language won.
     Immutable after construction; safe to share between any number of
     concurrent scorers.
     """
@@ -106,23 +107,28 @@ class LexiconSet:
             raise LexiconError("lexicon contains no languages")
         self._languages = dict(languages)
         self._codes = tuple(self._languages)
-        index: dict[str, dict[str, set[str]]] = {STOPWORD: {}, DIACRITIC: {}}
+        index: dict[str, dict[str, frozenset[str]]] = {STOPWORD: {}, DIACRITIC: {}}
         for code, lexicon in self._languages.items():
             if not code:
                 raise LexiconError("empty language code")
             if code in (UNCLASSIFIED, UNDETERMINED):
                 raise LexiconError(f"language code {code!r} is reserved")
+            try:
+                code.encode("utf-8")
+            except UnicodeEncodeError:
+                raise LexiconError(f"language code {code!r} is not UTF-8 text") from None
+            own = frozenset((code,))
             for kind, terms in ((STOPWORD, lexicon.stopwords), (DIACRITIC, lexicon.diacritics)):
+                kind_index = index[kind]
                 for term in terms:
                     if not _is_canonical(kind, term):
                         message = _NOT_CANONICAL[kind].format(term)
                         raise LexiconError(f"language {code!r}: {message}")
-                    index[kind].setdefault(term, set()).add(code)
-        self._index: dict[str, dict[str, frozenset[str]]] = {
-            kind: {term: frozenset(codes) for term, codes in terms.items()}
-            for kind, terms in index.items()
-        }
-        self._all_diacritics = frozenset(self._index[DIACRITIC])
+                    # Each union copies at most one code per language: O(languages).
+                    codes = kind_index.get(term)
+                    kind_index[term] = own if codes is None else codes | own
+        self._index = index
+        self._all_diacritics = frozenset(index[DIACRITIC])
 
     @property
     def languages(self) -> Mapping[str, LanguageLexicon]:
@@ -175,11 +181,9 @@ def _entry(kind: str, term: str) -> str:
     token and a diacritic its lowercased NFC letter; a term without such
     a form raises :class:`LexiconError`.
     """
+    if _is_canonical(kind, term):
+        return term
     if kind == STOPWORD:
-        # A lowercase NFC run of letters is its own single token; this
-        # spares the tokenizer for every entry already in canonical form.
-        if term.isalpha() and unicodedata.normalize("NFC", term.lower()) == term:
-            return term
         tokens, _ = _tokens(term)
         if len(tokens) != 1:
             raise LexiconError(f"stop word {term!r} is not a single word")
@@ -200,10 +204,12 @@ _NOT_CANONICAL = {
 
 
 def _is_canonical(kind: str, term: str) -> bool:
-    try:
-        return _entry(kind, term) == term
-    except LexiconError:
-        return False
+    """Whether ``term`` is already its own :func:`_entry` of ``kind``."""
+    return (
+        term.isalpha()
+        and (kind == STOPWORD or len(term) == 1)
+        and unicodedata.normalize("NFC", term.lower()) == term
+    )
 
 
 def strip_diacritics(term: str) -> str:

@@ -13,7 +13,8 @@ import lexid
 from lexid import PRESETS, classify, demo_lexicon_dir, load_lexicon, normalize_text, preset_config
 from lexid.cli import main
 
-from test_lexicon import write_lexicon_dir
+from test_evaluation import hostile_json_line
+from test_lexicon import NOT_UTF8, write_lexicon_dir
 
 DEMO = str(demo_lexicon_dir())
 SRC = str(Path(lexid.__file__).resolve().parents[1])
@@ -340,6 +341,42 @@ class TestDetectErrors:
         assert (exit_code, out) == (3, "")
         assert f"{root}: language code {code!r} is reserved" in err
 
+    @pytest.mark.parametrize("command", ["detect", "evaluate", "dict validate"])
+    def test_language_code_that_is_not_utf8(self, capsys, tmp_path, command):
+        root = tmp_path / "lex"
+        try:
+            write_lexicon_dir(root, {"a": (["le"], ["é"]), NOT_UTF8: (["el"], ["ñ"])})
+        except OSError:
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("a\tle café\n", encoding="utf-8")
+        argv = {
+            "detect": ["detect", "--preset", "test9", "el"],
+            "evaluate": ["evaluate", "--preset", "test9", "--corpus", str(corpus),
+                         "--format", "tsv", "--report", "json"],
+            "dict validate": ["dict", "validate"],
+        }[command]
+        code, out, err = run(capsys, argv + ["--lexicon", str(root)])
+        assert (code, out) == (3, "")
+        assert f"{root}: language code 'f\\udcffr' is not UTF-8 text" in err
+
+    def test_input_too_large_for_memory(self, tmp_path, ab_dir):
+        resource = pytest.importorskip("resource")
+        limit = 200 << 20
+        # 4 million tokens: tokenizing the line needs more than the limit.
+        src = tmp_path / "big.txt"
+        src.write_text("la casa " * 2_000_000 + "\n", encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "lexid.cli", "detect", "--lexicon", ab_dir,
+             "--preset", "test9", "--file", str(src)],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == b"lexid: i/o error: out of memory (input too large)\n"
+
     def test_unknown_preset(self, capsys, ab_dir):
         code, _, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test10", "x"])
         assert code == 1
@@ -433,6 +470,35 @@ class TestEvaluate:
         )
         assert code == 4
         assert "2 of 10 lines malformed" in err
+
+    @pytest.mark.parametrize("kind", ["deep", "digits"])
+    def test_hostile_json_below_threshold_is_skipped(
+        self, capsys, caplog, ab_dir, tmp_path, kind
+    ):
+        path = tmp_path / "hostile.jsonl"
+        lines = [json.dumps({"label": "a", "text": "le café"})] * 10 + [hostile_json_line(kind)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            ["evaluate", "--lexicon", ab_dir, "--corpus", str(path), "--format", "jsonl",
+             "--preset", "test3"],
+        )
+        assert code == 0
+        assert "over 10 documents" in err
+        assert f"{path}:11: invalid JSON (" in caplog.text
+
+    @pytest.mark.parametrize("kind", ["deep", "digits"])
+    def test_hostile_json_above_threshold_exit_code(self, capsys, ab_dir, tmp_path, kind):
+        path = tmp_path / "hostile.jsonl"
+        lines = [json.dumps({"label": "a", "text": "le café"})] * 8 + [hostile_json_line(kind)] * 2
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            ["evaluate", "--lexicon", ab_dir, "--corpus", str(path), "--format", "jsonl",
+             "--preset", "test3"],
+        )
+        assert code == 4
+        assert "2 of 10 lines malformed (more than 10%)" in err
 
     def test_gold_labels_are_case_insensitive(self, capsys, ab_dir, corpus_tsv, tmp_path):
         upper = tmp_path / "upper.tsv"

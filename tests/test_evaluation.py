@@ -3,6 +3,7 @@ import json
 import logging
 import multiprocessing
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -27,6 +28,16 @@ from _synth import make_corpus as synth_corpus
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def hostile_json_line(kind):
+    """A JSONL line that ``json.loads`` rejects with more than a JSONDecodeError."""
+    if kind == "deep":
+        return "[" * 200_000 + "]" * 200_000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no integer digit limit")
+    return '{"label": "a", "text": "x", "n": ' + "1" * (limit + 1) + "}"
 
 
 class TestLoadCorpusTsv:
@@ -122,6 +133,26 @@ class TestLoadCorpusJsonl:
             docs = load_corpus(write(tmp_path / "c.jsonl", "\n".join(lines) + "\n"), "jsonl")
         assert len(docs) == 20
         assert sum("skipped" in r.getMessage() for r in caplog.records) == 2
+
+    @pytest.mark.parametrize("kind", ["deep", "digits"])
+    def test_hostile_line_is_skipped_and_counted(self, tmp_path, caplog, kind):
+        lines = [json.dumps({"label": "fr", "text": f"t{i}"}) for i in range(10)]
+        lines.append(hostile_json_line(kind))
+        path = write(tmp_path / "c.jsonl", "\n".join(lines) + "\n")
+        with caplog.at_level(logging.WARNING, logger="lexid.evaluation"):
+            docs = load_corpus(path, "jsonl")
+        assert len(docs) == 10
+        [message] = [r.getMessage() for r in caplog.records]
+        assert message.startswith(f"{path}:11: invalid JSON (")
+        assert message.endswith("), skipped")
+
+    @pytest.mark.parametrize("kind", ["deep", "digits"])
+    def test_too_many_hostile_lines_abort(self, tmp_path, kind):
+        lines = [json.dumps({"label": "fr", "text": f"t{i}"}) for i in range(8)]
+        lines += [hostile_json_line(kind)] * 2
+        path = write(tmp_path / "c.jsonl", "\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError, match=r"2 of 10 lines malformed \(more than 10%\)"):
+            load_corpus(path, "jsonl")
 
     def test_byte_order_mark_alone_on_first_line_is_blank(self, tmp_path, caplog):
         path = tmp_path / "c.jsonl"

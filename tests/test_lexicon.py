@@ -1,5 +1,7 @@
+import os
 import pickle
 import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,8 +20,12 @@ from lexid import (
     strip_diacritics,
     validate_lexicon,
 )
-from lexid.lexicon import _entry
+from lexid.lexicon import _entry, _is_canonical
 from lexid.normalize import _tokens
+
+
+#: A directory name holding the byte 0xff, as ``os.listdir`` decodes it.
+NOT_UTF8 = os.fsdecode(b"f\xffr")
 
 
 def write_lexicon_dir(root, languages):
@@ -166,6 +172,25 @@ class TestLoadAndSave:
         with pytest.raises(LexiconError, match=r"diacritics\.txt:1.*multi-character"):
             load_lexicon(tmp_path)
 
+    def test_diacritic_line_that_is_not_a_letter(self, tmp_path):
+        write_lexicon_dir(tmp_path, {"fr": (["le"], ["é", "1"])})
+        with pytest.raises(LexiconError, match=r"diacritics\.txt:2: diacritic '1' is not a letter"):
+            load_lexicon(tmp_path)
+
+    def test_root_that_is_a_regular_file(self, tmp_path):
+        root = tmp_path / "lexicon.txt"
+        root.write_text("le\n", "utf-8")
+        with pytest.raises(LexiconError, match="is not a directory"):
+            load_lexicon(root)
+
+    def test_code_that_is_not_utf8(self, tmp_path):
+        try:
+            write_lexicon_dir(tmp_path, {"it": (["di"], ["ì"]), NOT_UTF8: (["le"], ["é"])})
+        except OSError:
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        with pytest.raises(LexiconError, match=r"language code 'f\\udcffr' is not UTF-8 text"):
+            load_lexicon(tmp_path)
+
     def test_multi_word_stopword_line(self, tmp_path):
         write_lexicon_dir(tmp_path, {"fr": (["bon jour"], ["é"])})
         with pytest.raises(LexiconError, match=r"stopwords\.txt:1.*single word"):
@@ -278,6 +303,23 @@ class TestConstructorInvariants:
                 }
             )
 
+    def test_rejects_empty_code(self):
+        with pytest.raises(LexiconError, match="empty language code"):
+            LexiconSet({"": LanguageLexicon(frozenset({"le"}), frozenset())})
+
+    def test_rejects_code_that_is_not_utf8(self):
+        with pytest.raises(LexiconError, match=r"'f\\udcffr' is not UTF-8 text"):
+            LexiconSet(
+                {
+                    "a": LanguageLexicon(frozenset({"le"}), frozenset()),
+                    "f\udcffr": LanguageLexicon(frozenset({"el"}), frozenset()),
+                }
+            )
+
+    def test_never_equal_to_another_type(self, demo_lex):
+        assert (demo_lex == 3) is False
+        assert demo_lex != 3
+
     def test_rejects_empty_mapping(self):
         with pytest.raises(LexiconError):
             LexiconSet({})
@@ -361,6 +403,12 @@ def _tokenized_stop_word(term):
     return tokens[0] if len(tokens) == 1 else None
 
 
+def _folded_diacritic(term):
+    """``_entry(DIACRITIC, term)`` without its shortcut, or None where it raises."""
+    letter = unicodedata.normalize("NFC", term.lower())
+    return letter if len(letter) == 1 and letter.isalpha() else None
+
+
 def _stop_word_entry(term):
     try:
         return _entry(STOPWORD, term)
@@ -374,11 +422,13 @@ class TestStopWordEntry:
     def test_every_code_point(self):
         for cp in range(sys.maxunicode + 1):
             ch = chr(cp)
-            assert _stop_word_entry(ch) == _tokenized_stop_word(ch), hex(cp)
-            if ch.isalpha():
-                # Two-letter words, and capitals whose lowercase may expand.
-                for term in (f"a{ch}", ch.upper()):
-                    assert _stop_word_entry(term) == _tokenized_stop_word(term), hex(cp)
+            # Two-letter words, and capitals whose lowercase may expand.
+            for term in (ch, f"a{ch}", ch.upper()) if ch.isalpha() else (ch,):
+                tokenized = _tokenized_stop_word(term)
+                assert _stop_word_entry(term) == tokenized, hex(cp)
+                # The predicate holds exactly for the terms that are their own entry.
+                assert _is_canonical(STOPWORD, term) == (tokenized == term), hex(cp)
+                assert _is_canonical(DIACRITIC, term) == (_folded_diacritic(term) == term), hex(cp)
 
     @given(st.text(min_size=1, max_size=12))
     def test_arbitrary_words(self, term):

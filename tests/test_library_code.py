@@ -1,0 +1,19 @@
+"""Library code reports a failed check with an exception, never with ``assert``."""
+
+import ast
+from pathlib import Path
+
+import lexid
+
+SOURCES = sorted(Path(lexid.__file__).resolve().parent.glob("*.py"))
+
+
+def test_library_has_no_assert_statement():
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES
+    assert asserts == []
