@@ -170,8 +170,12 @@ def _parse_tsv(line: str) -> tuple[str, str]:
 def _parse_jsonl(line: str) -> tuple[str, str]:
     try:
         obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # also an integer or nesting past a limit
-        raise ValueError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ValueError("invalid JSON (nested too deeply)") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ValueError("invalid JSON (number too long)") from None
     if (
         not isinstance(obj, dict)
         or not isinstance(obj.get("label"), str)

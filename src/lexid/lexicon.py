@@ -95,9 +95,12 @@ class LanguageLexicon(namedtuple("LanguageLexicon", "stopwords diacritics")):
 class LexiconSet:
     """An ordered set of language lexicons plus the cross-language index.
 
-    Language codes must be non-empty UTF-8 text and may not be
-    :data:`UNCLASSIFIED` or :data:`UNDETERMINED`, the labels of texts no
-    language won.
+    Language codes must be non-empty UTF-8 text without surrounding
+    whitespace and may not be :data:`UNCLASSIFIED` or
+    :data:`UNDETERMINED`, the labels of texts no language won.
+    The index maps each term of a namespace to the ascending positions,
+    in :attr:`codes`, of the languages listing it; :meth:`term_index`
+    derives the code sets from it.
     Immutable after construction; safe to share between any number of
     concurrent scorers.
     """
@@ -107,26 +110,28 @@ class LexiconSet:
             raise LexiconError("lexicon contains no languages")
         self._languages = dict(languages)
         self._codes = tuple(self._languages)
-        index: dict[str, dict[str, frozenset[str]]] = {STOPWORD: {}, DIACRITIC: {}}
-        for code, lexicon in self._languages.items():
+        index: dict[str, dict[str, tuple[int, ...]]] = {STOPWORD: {}, DIACRITIC: {}}
+        for position, (code, lexicon) in enumerate(self._languages.items()):
             if not code:
                 raise LexiconError("empty language code")
             if code in (UNCLASSIFIED, UNDETERMINED):
                 raise LexiconError(f"language code {code!r} is reserved")
+            if code != code.strip():
+                raise LexiconError(f"language code {code!r} has surrounding whitespace")
             try:
                 code.encode("utf-8")
             except UnicodeEncodeError:
                 raise LexiconError(f"language code {code!r} is not UTF-8 text") from None
-            own = frozenset((code,))
+            own = (position,)
             for kind, terms in ((STOPWORD, lexicon.stopwords), (DIACRITIC, lexicon.diacritics)):
                 kind_index = index[kind]
                 for term in terms:
                     if not _is_canonical(kind, term):
                         message = _NOT_CANONICAL[kind].format(term)
                         raise LexiconError(f"language {code!r}: {message}")
-                    # Each union copies at most one code per language: O(languages).
-                    codes = kind_index.get(term)
-                    kind_index[term] = own if codes is None else codes | own
+                    # Languages are walked in order, so each tuple stays ascending.
+                    positions = kind_index.get(term)
+                    kind_index[term] = own if positions is None else positions + own
         self._index = index
         self._all_diacritics = frozenset(index[DIACRITIC])
 
@@ -150,7 +155,8 @@ class LexiconSet:
 
     def term_index(self, kind: str) -> Mapping[str, frozenset[str]]:
         """Read-only ``term -> languages listing it`` map of one namespace."""
-        return MappingProxyType(self._index[kind])
+        codes, index = self._codes, self._index[kind]
+        return MappingProxyType({t: frozenset([codes[i] for i in index[t]]) for t in index})
 
     def fingerprint(self) -> str:
         """Stable hex digest of the full lexicon content."""
@@ -278,8 +284,8 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
     Languages are read in sorted directory order.  Structural problems
     (missing files, lines that are not valid UTF-8, multi-word stop-word
     lines, multi-character diacritic lines, duplicate or reserved codes,
-    no languages at all) raise :class:`LexiconError` with file and line
-    context.
+    codes with surrounding whitespace, no languages at all) raise
+    :class:`LexiconError` with file and line context.
     Entries the loader had to normalize are logged and, when
     ``warnings_to`` is given, also appended to it as :class:`Finding`
     objects.

@@ -89,8 +89,4 @@ def normalize_text(raw: str) -> NormalizedText:
     function never raises.
     """
     tokens, joined = _tokens(raw)
-    return NormalizedText(
-        tokens=tuple(tokens),
-        char_freq=dict(Counter(joined)),
-        token_freq=dict(Counter(tokens)),
-    )
+    return NormalizedText(tuple(tokens), dict(Counter(joined)), dict(Counter(tokens)))

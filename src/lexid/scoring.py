@@ -21,9 +21,13 @@ the same scale.
 
 Scoring visits only the dictionary terms the text contains: its cost is
 proportional to the text's distinct tokens and characters and does not
-depend on dictionary size.  Each weight is computed once per (weight
-mode, language count) and then read from a table indexed by ``n``.
-:class:`ScoringConfig` and :class:`Verdict` are named tuples.
+depend on dictionary size.  The lexicon maps each term to the positions
+of the languages listing it; one kernel adds each matched term into lists
+indexed by position and returns the scores as a list in lexicon order,
+which :func:`classify` picks its verdict on.  Each weight is computed
+once per (weight mode, language count) and then read from a table
+indexed by ``n``.  :class:`ScoringConfig` and :class:`Verdict` are named
+tuples.
 """
 
 from __future__ import annotations
@@ -137,8 +141,8 @@ def _effective_p(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> flo
     return cfg.p
 
 
-def score_all(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> dict[str, float]:
-    """Score every language, in lexicon order, with a shared effective p."""
+def _scores(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> list[float]:
+    """Every language's score, in lexicon order, with a shared effective p."""
     n_languages = lex.n_languages
     if n_languages < 2:
         raise LexiconError("classification requires at least 2 languages")
@@ -149,16 +153,22 @@ def score_all(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> dict[s
     # from 0.0, so each sum is reproducible across processes and runs.
     totals = []
     for kind, freq in ((STOPWORD, nt.token_freq), (DIACRITIC, nt.char_freq)):
-        index = lex.term_index(kind)
-        total = dict.fromkeys(lex.codes, 0.0)
+        index = lex._index[kind]  # term -> positions of the languages listing it
+        total = [0.0] * n_languages
         for term in sorted(index.keys() & freq.keys()):
-            codes = index[term]
-            value = tf(freq[term]) * weights[len(codes)]
-            for code in codes:
-                total[code] += value
+            positions = index[term]
+            value = tf(freq[term]) * weights[len(positions)]
+            for i in positions:
+                total[i] += value
         totals.append(total)
     stop, dia = totals
-    return {code: p * stop[code] + (1.0 - p) * dia[code] for code in lex.codes}
+    q = 1.0 - p
+    return [p * s + q * d for s, d in zip(stop, dia)]
+
+
+def score_all(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> dict[str, float]:
+    """Score every language, in lexicon order, with a shared effective p."""
+    return dict(zip(lex.codes, _scores(nt, lex, cfg)))
 
 
 def classify(
@@ -170,15 +180,21 @@ def classify(
     two or more languages (within ``TIE_REL_TOL`` relative) yields
     ``tie``.
     """
-    scores = score_all(nt, lex, cfg)
-    best = max(scores.values())
+    values = _scores(nt, lex, cfg)
+    return _verdict(lex.codes, values), dict(zip(lex.codes, values))
+
+
+def _verdict(codes: tuple[str, ...], values: list[float]) -> Verdict:
+    """The verdict on finite scores ``values``, given in the order of ``codes``."""
+    *_, runner_up, best = sorted(values)
     if best <= 0.0:
-        return Verdict(None, NO_EVIDENCE), scores
-    top = [
-        code
-        for code, value in scores.items()
-        if math.isclose(value, best, rel_tol=TIE_REL_TOL, abs_tol=0.0)
-    ]
-    if len(top) > 1:
-        return Verdict(None, TIE), scores
-    return Verdict(top[0]), scores
+        return Verdict(None, NO_EVIDENCE)
+    # For finite 0 < best and value <= best, best - value <= TIE_REL_TOL * best
+    # is exactly math.isclose(value, best, rel_tol=TIE_REL_TOL, abs_tol=0.0):
+    # both compare the rounded best - value with TIE_REL_TOL * best.  Its other
+    # bound, TIE_REL_TOL * |value|, is no larger when value >= 0, and when
+    # value < 0 the gap exceeds |value|, so a negative score is never close.
+    # The gap shrinks as value grows, so a tie exists iff the runner-up ties.
+    if best - runner_up <= TIE_REL_TOL * best:
+        return Verdict(None, TIE)
+    return Verdict(codes[values.index(best)])

@@ -360,6 +360,25 @@ class TestDetectErrors:
         assert (code, out) == (3, "")
         assert f"{root}: language code 'f\\udcffr' is not UTF-8 text" in err
 
+    @pytest.mark.parametrize("command", ["detect", "evaluate", "dict validate"])
+    def test_language_code_with_surrounding_whitespace(self, capsys, tmp_path, command):
+        root = tmp_path / "lex"
+        try:
+            write_lexicon_dir(root, {"a": (["le"], ["é"]), "fr ": (["el"], ["ñ"])})
+        except OSError:
+            pytest.skip("the file system refuses a name ending in a space")
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("fr\tel niño\n", encoding="utf-8")
+        argv = {
+            "detect": ["detect", "--preset", "test9", "el"],
+            "evaluate": ["evaluate", "--preset", "test9", "--corpus", str(corpus),
+                         "--format", "tsv", "--report", "json"],
+            "dict validate": ["dict", "validate"],
+        }[command]
+        code, out, err = run(capsys, argv + ["--lexicon", str(root)])
+        assert (code, out) == (3, "")
+        assert f"{root}: language code 'fr ' has surrounding whitespace" in err
+
     def test_input_too_large_for_memory(self, tmp_path, ab_dir):
         resource = pytest.importorskip("resource")
         limit = 200 << 20

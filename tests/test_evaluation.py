@@ -145,6 +145,9 @@ class TestLoadCorpusJsonl:
         [message] = [r.getMessage() for r in caplog.records]
         assert message.startswith(f"{path}:11: invalid JSON (")
         assert message.endswith("), skipped")
+        assert "set_int_max_str_digits" not in message
+        reason = {"deep": "nested too deeply", "digits": "number too long"}[kind]
+        assert message == f"{path}:11: invalid JSON ({reason}), skipped"
 
     @pytest.mark.parametrize("kind", ["deep", "digits"])
     def test_too_many_hostile_lines_abort(self, tmp_path, kind):

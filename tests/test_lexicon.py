@@ -1,5 +1,7 @@
 import os
 import pickle
+import random
+import re
 import sys
 import unicodedata
 
@@ -22,6 +24,8 @@ from lexid import (
 )
 from lexid.lexicon import _entry, _is_canonical
 from lexid.normalize import _tokens
+
+from _synth import random_instance
 
 
 #: A directory name holding the byte 0xff, as ``os.listdir`` decodes it.
@@ -191,6 +195,14 @@ class TestLoadAndSave:
         with pytest.raises(LexiconError, match=r"language code 'f\\udcffr' is not UTF-8 text"):
             load_lexicon(tmp_path)
 
+    def test_code_with_surrounding_whitespace(self, tmp_path):
+        try:
+            write_lexicon_dir(tmp_path, {"it": (["di"], ["ì"]), "fr ": (["le"], ["é"])})
+        except OSError:
+            pytest.skip("the file system refuses a name ending in a space")
+        with pytest.raises(LexiconError, match="language code 'fr ' has surrounding whitespace"):
+            load_lexicon(tmp_path)
+
     def test_multi_word_stopword_line(self, tmp_path):
         write_lexicon_dir(tmp_path, {"fr": (["bon jour"], ["é"])})
         with pytest.raises(LexiconError, match=r"stopwords\.txt:1.*single word"):
@@ -316,6 +328,17 @@ class TestConstructorInvariants:
                 }
             )
 
+    @pytest.mark.parametrize("code", ["fr ", " fr", "fr\t", "\u00a0fr", "fr\n"])
+    def test_rejects_code_with_surrounding_whitespace(self, code):
+        message = f"language code {code!r} has surrounding whitespace"
+        with pytest.raises(LexiconError, match=re.escape(message)):
+            LexiconSet(
+                {
+                    "a": LanguageLexicon(frozenset({"le"}), frozenset()),
+                    code: LanguageLexicon(frozenset({"el"}), frozenset()),
+                }
+            )
+
     def test_never_equal_to_another_type(self, demo_lex):
         assert (demo_lex == 3) is False
         assert demo_lex != 3
@@ -349,6 +372,18 @@ class TestConstructorInvariants:
         with pytest.raises(TypeError):
             lex.languages["xx"] = lex.languages["fr"]
         assert "xx" not in lex.codes
+
+    def test_position_index_matches_term_index(self, demo_lex):
+        rng = random.Random(20261018)
+        synthetic = [random_instance(rng)[1] for _ in range(50)]
+        for lex in [demo_lex, augment_with_stripped_variants(demo_lex), *synthetic]:
+            for kind in (STOPWORD, DIACRITIC):
+                positions_of = lex._index[kind]
+                term_index = lex.term_index(kind)
+                assert positions_of.keys() == term_index.keys()
+                for term, positions in positions_of.items():
+                    assert list(positions) == sorted(set(positions))
+                    assert frozenset(lex.codes[i] for i in positions) == term_index[term]
 
     def test_index_spread_bounds(self, demo_lex):
         for code in demo_lex.codes:

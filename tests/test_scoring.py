@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from lexid import (
     LanguageLexicon,
@@ -15,6 +16,7 @@ from lexid import (
     preset_config,
     score_all,
 )
+from lexid.scoring import TIE_REL_TOL, _verdict
 
 from _oracle import rescan_scores, rescan_verdict
 from _synth import random_instance
@@ -182,6 +184,49 @@ class TestClassify:
         verdict, scores = classify(normalize_text("la"), ab_lex, ScoringConfig(p=1.0))
         assert verdict.reason == TIE
         assert scores["a"] == scores["b"] > 0
+
+
+CODES = ("a", "b", "c", "d", "e", "f")
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def near_tie(draw):
+    """``(value, best)`` with value about k * TIE_REL_TOL below best, a few ulps either way."""
+    best = draw(positive)
+    value = best * (1 - draw(st.integers(0, 3)) * 1e-12)
+    for _ in range(draw(st.integers(0, 3))):
+        value = math.nextafter(value, draw(st.sampled_from([math.inf, -math.inf])))
+    assume(value <= best)
+    return value, best
+
+
+def isclose_verdict(values):
+    """The verdict rule as ``math.isclose`` states it."""
+    return rescan_verdict(dict(zip(CODES, values)), rel_tol=TIE_REL_TOL)
+
+
+class TestTieRule:
+    """``_verdict``'s gap test agrees with ``math.isclose`` on every score."""
+
+    @given(positive, finite, st.booleans())
+    def test_any_score_below_best(self, best, value, swap):
+        assume(value <= best)
+        values = [best, value] if swap else [value, best]
+        verdict = _verdict(CODES[:2], values)
+        assert (verdict.language, verdict.reason) == isclose_verdict(values)
+
+    @given(near_tie(), st.booleans())
+    def test_at_the_boundary(self, pair, swap):
+        values = list(pair[::-1] if swap else pair)
+        verdict = _verdict(CODES[:2], values)
+        assert (verdict.language, verdict.reason) == isclose_verdict(values)
+
+    @given(st.lists(finite, min_size=2, max_size=len(CODES)))
+    def test_any_scores(self, values):
+        verdict = _verdict(CODES[: len(values)], values)
+        assert (verdict.language, verdict.reason) == isclose_verdict(values)
 
 
 class TestPresets:
