@@ -4,7 +4,6 @@
 # stop-words-only fallback for accent-free text.
 
 from lexid import (
-    DIACRITIC,
     PRESETS,
     ScoringConfig,
     demo_lexicon_dir,
@@ -38,7 +37,7 @@ print()
 # ratio weights are 5/1 and 5/4.  A one-character text has raw tf 1,
 # so its score is the weight itself.
 for ch, lang in (("ñ", "es"), ("é", "fr"), ("à", "fr")):
-    n = len(lex.term_index(DIACRITIC)[ch])
+    n = sum(ch in lexicon.diacritics for lexicon in lex.languages.values())
     ratio = diacritic_score(ch, lang, weight_mode="ratio")
     log_ratio = diacritic_score(ch, lang, weight_mode="log_ratio")
     print(f"{ch}: listed by {n} languages  N/n={ratio:.2f}  ln(1+N/n)={log_ratio:.3f}")

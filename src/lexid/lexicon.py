@@ -2,7 +2,7 @@
 
 A :class:`LexiconSet` bundles one :class:`LanguageLexicon` per language
 together with a cross-language term index: for every term it records
-which languages list it, which is what the specificity weighting in
+the positions of the languages listing it, which is what the scoring in
 :mod:`lexid.scoring` consumes.  Stop words and diacritics live in
 separate index namespaces, so a one-letter stop word such as ``y`` never
 collides with a diacritic character.
@@ -26,6 +26,7 @@ five supported languages.
 from __future__ import annotations
 
 import logging
+import os
 import unicodedata
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
@@ -95,12 +96,13 @@ class LanguageLexicon(namedtuple("LanguageLexicon", "stopwords diacritics")):
 class LexiconSet:
     """An ordered set of language lexicons plus the cross-language index.
 
-    Language codes must be non-empty UTF-8 text without surrounding
-    whitespace and may not be :data:`UNCLASSIFIED` or
-    :data:`UNDETERMINED`, the labels of texts no language won.
-    The index maps each term of a namespace to the ascending positions,
-    in :attr:`codes`, of the languages listing it; :meth:`term_index`
-    derives the code sets from it.
+    Language codes must be non-empty lowercase UTF-8 text without
+    surrounding whitespace, each one directory name (no ``/``, not ``.``
+    or ``..``) so that saving and loading reproduces it, and may not be
+    :data:`UNCLASSIFIED` or :data:`UNDETERMINED`, the labels of texts no
+    language won.  The private ``_index`` maps each term of a namespace
+    to the ascending positions, in :attr:`codes`, of the languages
+    listing it; it is the only cross-language view.
     Immutable after construction; safe to share between any number of
     concurrent scorers.
     """
@@ -118,6 +120,10 @@ class LexiconSet:
                 raise LexiconError(f"language code {code!r} is reserved")
             if code != code.strip():
                 raise LexiconError(f"language code {code!r} has surrounding whitespace")
+            if code != code.lower():
+                raise LexiconError(f"language code {code!r} is not lowercase")
+            if "/" in code or os.sep in code or code in (".", ".."):
+                raise LexiconError(f"language code {code!r} is not a single directory name")
             try:
                 code.encode("utf-8")
             except UnicodeEncodeError:
@@ -152,11 +158,6 @@ class LexiconSet:
     def all_diacritics(self) -> frozenset[str]:
         """Union of every language's diacritic set."""
         return self._all_diacritics
-
-    def term_index(self, kind: str) -> Mapping[str, frozenset[str]]:
-        """Read-only ``term -> languages listing it`` map of one namespace."""
-        codes, index = self._codes, self._index[kind]
-        return MappingProxyType({t: frozenset([codes[i] for i in index[t]]) for t in index})
 
     def fingerprint(self) -> str:
         """Stable hex digest of the full lexicon content."""
@@ -243,9 +244,10 @@ def validate_lexicon(lex: LexiconSet) -> list[Finding]:
     """Diagnose lexicon weaknesses without rejecting the lexicon.
 
     Error findings mark lexicons unusable for classification (fewer than
-    two languages).  Warnings flag stop words shared by (almost) every
-    language, accented characters used in stop words that no diacritic
-    set lists, and languages with empty diacritic sets.
+    two languages).  Warnings flag stop words listed by at least two
+    languages and all but at most one, accented characters used in stop
+    words that no diacritic set lists, and languages with empty
+    diacritic sets.
     """
     findings: list[Finding] = []
     n_langs = lex.n_languages
@@ -254,9 +256,9 @@ def validate_lexicon(lex: LexiconSet) -> list[Finding]:
             Finding("error", f"only {n_langs} language(s); classification needs at least 2")
         )
 
-    for term, codes in sorted(lex.term_index(STOPWORD).items()):
-        if n_langs >= 2 and len(codes) >= n_langs - 1:
-            message = f"stop word {term!r} appears in {len(codes)} of {n_langs} languages"
+    for term, positions in sorted(lex._index[STOPWORD].items()):
+        if len(positions) >= max(2, n_langs - 1):
+            message = f"stop word {term!r} appears in {len(positions)} of {n_langs} languages"
             findings.append(Finding("warning", message))
 
     accented_in_use = {

@@ -17,7 +17,7 @@ by the same positive constant, it can never change which language wins.
 When the fallback flag is on and a text contains no diacritic known to
 any language, scoring proceeds with ``p = 1`` (stop words only).  That
 effective ``p`` is decided once per text so every language is scored on
-the same scale.
+the same scale; it fires when the kernel matches no diacritic term.
 
 Scoring visits only the dictionary terms the text contains: its cost is
 proportional to the text's distinct tokens and characters and does not
@@ -135,18 +135,11 @@ class Verdict(namedtuple("Verdict", "language reason", defaults=(None,))):
     __slots__ = ()
 
 
-def _effective_p(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> float:
-    if cfg.stopword_fallback and lex.all_diacritics.isdisjoint(nt.char_freq):
-        return 1.0
-    return cfg.p
-
-
 def _scores(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> list[float]:
     """Every language's score, in lexicon order, with a shared effective p."""
     n_languages = lex.n_languages
     if n_languages < 2:
         raise LexiconError("classification requires at least 2 languages")
-    p = _effective_p(nt, lex, cfg)
     tf = _TF[cfg.tf_mode]
     weights = _weights(cfg.weight_mode, n_languages)
     # Every language adds its matched terms in sorted term order starting
@@ -155,13 +148,16 @@ def _scores(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> list[flo
     for kind, freq in ((STOPWORD, nt.token_freq), (DIACRITIC, nt.char_freq)):
         index = lex._index[kind]  # term -> positions of the languages listing it
         total = [0.0] * n_languages
-        for term in sorted(index.keys() & freq.keys()):
+        matched = sorted(index.keys() & freq.keys())
+        for term in matched:
             positions = index[term]
             value = tf(freq[term]) * weights[len(positions)]
             for i in positions:
                 total[i] += value
         totals.append(total)
     stop, dia = totals
+    # ``matched`` is now the text's known diacritics; with none, ``dia`` is all 0.0.
+    p = 1.0 if cfg.stopword_fallback and not matched else cfg.p
     q = 1.0 - p
     return [p * s + q * d for s, d in zip(stop, dia)]
 

@@ -70,16 +70,35 @@ class TestBuiltinDiacritics:
                 assert len(ch) == 1 and ch.isalpha()
 
 
+def listing(lex, kind):
+    """``term -> ascending positions of the languages listing it``, from ``languages``."""
+    sets = [
+        lexicon.stopwords if kind == STOPWORD else lexicon.diacritics
+        for lexicon in lex.languages.values()
+    ]
+    terms = set().union(*sets)
+    return {t: tuple(i for i, terms_of in enumerate(sets) if t in terms_of) for t in terms}
+
+
+def codes_listing(lex, kind, term):
+    """Codes of the languages at the positions ``lex`` indexes ``term`` under."""
+    return {lex.codes[i] for i in lex._index[kind][term]}
+
+
 class TestTermLanguageCount:
     def test_shared_diacritic(self, diacritics_only_lex):
-        assert diacritics_only_lex.term_index(DIACRITIC)["é"] == {"fr", "it", "pt", "es"}
+        lex = diacritics_only_lex
+        assert codes_listing(lex, DIACRITIC, "é") == {"fr", "it", "pt", "es"}
+        assert lex._index[DIACRITIC]["é"] == listing(lex, DIACRITIC)["é"]
 
     def test_unique_diacritic(self, diacritics_only_lex):
-        assert diacritics_only_lex.term_index(DIACRITIC)["ñ"] == {"es"}
+        lex = diacritics_only_lex
+        assert codes_listing(lex, DIACRITIC, "ñ") == {"es"}
+        assert lex._index[DIACRITIC]["ñ"] == listing(lex, DIACRITIC)["ñ"]
 
     def test_absent_term(self, diacritics_only_lex):
         for kind in (STOPWORD, DIACRITIC):
-            assert "zzz" not in diacritics_only_lex.term_index(kind)
+            assert "zzz" not in diacritics_only_lex._index[kind]
 
     def test_namespaces_are_separate(self):
         # "y" as a stop word of one language and a diacritic of another
@@ -90,12 +109,10 @@ class TestTermLanguageCount:
                 "z": LanguageLexicon(frozenset(), frozenset({"y"})),
             }
         )
-        assert lex.term_index(STOPWORD)["y"] == {"x"}
-        assert lex.term_index(DIACRITIC)["y"] == {"z"}
-        assert dict(lex.term_index(STOPWORD)) == {"y": frozenset({"x"})}
-        assert dict(lex.term_index(DIACRITIC)) == {"y": frozenset({"z"})}
-        with pytest.raises(TypeError):
-            lex.term_index(STOPWORD)["w"] = frozenset({"x"})
+        assert codes_listing(lex, STOPWORD, "y") == {"x"}
+        assert codes_listing(lex, DIACRITIC, "y") == {"z"}
+        assert lex._index[STOPWORD] == listing(lex, STOPWORD) == {"y": (0,)}
+        assert lex._index[DIACRITIC] == listing(lex, DIACRITIC) == {"y": (1,)}
 
 
 class TestStripDiacritics:
@@ -265,6 +282,18 @@ class TestLoadAndSave:
         save_lexicon(demo_lex, tmp_path / "copy")
         assert load_lexicon(tmp_path / "copy") == demo_lex
 
+    @pytest.mark.parametrize("code", ["ß", "pt-br", "x.y", "...", "ελ"])
+    def test_round_trip_unusual_code(self, tmp_path, code):
+        lex = LexiconSet(
+            {
+                "a": LanguageLexicon(frozenset({"le"}), frozenset("é")),
+                code: LanguageLexicon(frozenset({"el"}), frozenset("ñ")),
+            }
+        )
+        save_lexicon(lex, tmp_path / "lex")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lex"]
+        assert load_lexicon(tmp_path / "lex") == lex
+
     def test_round_trip_augmented(self, tmp_path, demo_lex):
         augmented = augment_with_stripped_variants(demo_lex)
         save_lexicon(augmented, tmp_path / "aug")
@@ -339,6 +368,30 @@ class TestConstructorInvariants:
                 }
             )
 
+    @pytest.mark.parametrize("code", ["FR", "Fr", "É"])
+    def test_rejects_code_that_is_not_lowercase(self, code):
+        # load_lexicon lowercases directory names, so this code could not survive a reload.
+        message = f"language code {code!r} is not lowercase"
+        with pytest.raises(LexiconError, match=re.escape(message)):
+            LexiconSet(
+                {
+                    "a": LanguageLexicon(frozenset({"le"}), frozenset()),
+                    code: LanguageLexicon(frozenset({"el"}), frozenset()),
+                }
+            )
+
+    @pytest.mark.parametrize("code", [".", "..", "a/b", "/fr", "fr/", os.sep + "x"])
+    def test_rejects_code_that_is_not_a_directory_name(self, code):
+        # save_lexicon would write outside the root, or into a nested directory.
+        message = f"language code {code!r} is not a single directory name"
+        with pytest.raises(LexiconError, match=re.escape(message)):
+            LexiconSet(
+                {
+                    "a": LanguageLexicon(frozenset({"le"}), frozenset()),
+                    code: LanguageLexicon(frozenset({"el"}), frozenset()),
+                }
+            )
+
     def test_never_equal_to_another_type(self, demo_lex):
         assert (demo_lex == 3) is False
         assert demo_lex != 3
@@ -349,11 +402,8 @@ class TestConstructorInvariants:
 
     def test_index_rebuild_is_identical(self, demo_lex):
         rebuilt = LexiconSet(dict(demo_lex.languages))
-        for code in demo_lex.codes:
-            for word in demo_lex.languages[code].stopwords:
-                assert rebuilt.term_index(STOPWORD)[word] == demo_lex.term_index(STOPWORD)[word]
-            for ch in demo_lex.languages[code].diacritics:
-                assert rebuilt.term_index(DIACRITIC)[ch] == demo_lex.term_index(DIACRITIC)[ch]
+        for kind in (STOPWORD, DIACRITIC):
+            assert rebuilt._index[kind] == demo_lex._index[kind] == listing(demo_lex, kind)
         assert rebuilt == demo_lex
         assert rebuilt.fingerprint() == demo_lex.fingerprint()
 
@@ -364,7 +414,7 @@ class TestConstructorInvariants:
         assert copy == lex
         assert copy.codes == lex.codes
         for kind in (STOPWORD, DIACRITIC):
-            assert copy.term_index(kind) == lex.term_index(kind)
+            assert copy._index[kind] == lex._index[kind] == listing(lex, kind)
         assert copy.all_diacritics == lex.all_diacritics
 
     def test_languages_is_read_only(self, demo_lex):
@@ -373,25 +423,21 @@ class TestConstructorInvariants:
             lex.languages["xx"] = lex.languages["fr"]
         assert "xx" not in lex.codes
 
-    def test_position_index_matches_term_index(self, demo_lex):
+    def test_position_index_matches_languages(self, demo_lex):
         rng = random.Random(20261018)
         synthetic = [random_instance(rng)[1] for _ in range(50)]
         for lex in [demo_lex, augment_with_stripped_variants(demo_lex), *synthetic]:
             for kind in (STOPWORD, DIACRITIC):
-                positions_of = lex._index[kind]
-                term_index = lex.term_index(kind)
-                assert positions_of.keys() == term_index.keys()
-                for term, positions in positions_of.items():
-                    assert list(positions) == sorted(set(positions))
-                    assert frozenset(lex.codes[i] for i in positions) == term_index[term]
+                assert lex._index[kind] == listing(lex, kind)
+            assert lex.all_diacritics == lex._index[DIACRITIC].keys()
 
     def test_index_spread_bounds(self, demo_lex):
         for code in demo_lex.codes:
             for word in demo_lex.languages[code].stopwords:
-                n = len(demo_lex.term_index(STOPWORD)[word])
+                n = len(demo_lex._index[STOPWORD][word])
                 assert 1 <= n <= demo_lex.n_languages
             for ch in demo_lex.languages[code].diacritics:
-                n = len(demo_lex.term_index(DIACRITIC)[ch])
+                n = len(demo_lex._index[DIACRITIC][ch])
                 assert 1 <= n <= demo_lex.n_languages
 
 
@@ -409,6 +455,16 @@ class TestValidate:
         }
         findings = validate_lexicon(LexiconSet(languages))
         assert any("'la'" in f.message and "4 of 5" in f.message for f in findings)
+
+    def test_two_languages_flag_only_the_shared_stop_word(self):
+        lex = LexiconSet(
+            {
+                "fr": LanguageLexicon(frozenset({"il", "la"}), frozenset("é")),
+                "it": LanguageLexicon(frozenset({"la", "lo"}), frozenset("à")),
+            }
+        )
+        sharing = [f for f in validate_lexicon(lex) if f.message.startswith("stop word")]
+        assert sharing == [("warning", "stop word 'la' appears in 2 of 2 languages")]
 
     def test_demo_lexicon_has_no_diacritic_findings(self, demo_lex):
         findings = validate_lexicon(demo_lex)

@@ -8,6 +8,7 @@ from lexid import (
     LanguageLexicon,
     LexiconSet,
     NO_EVIDENCE,
+    NormalizedText,
     PRESETS,
     ScoringConfig,
     TIE,
@@ -133,6 +134,13 @@ class TestScoreAll:
         with_fallback = ScoringConfig(p=1 / 3, stopword_fallback=True)
         pure_stop = ScoringConfig(p=1.0)
         assert score_all(nt, demo_lex, with_fallback) == score_all(nt, demo_lex, pure_stop)
+
+    def test_known_diacritic_with_zero_count_keeps_p(self, ab_lex):
+        # The fallback fires only when the text lists no known diacritic;
+        # a listed one counts even when it adds no evidence.
+        nt = NormalizedText(("le",), {"l": 1, "e": 1, "é": 0}, {"le": 1})
+        cfg = ScoringConfig(p=1 / 2, stopword_fallback=True)
+        assert score_all(nt, ab_lex, cfg) == {"a": 0.5, "b": 0.0}
 
     def test_no_fallback_p_zero_gives_all_zero(self, demo_lex):
         nt = normalize_text("text sans accents du tout")
