@@ -5,15 +5,15 @@ outcome into a confusion matrix with a single ``unclassified`` bucket.
 Those counts are the report's only stored outcome: per-language
 accuracy, unclassified and misclassified rates and overall accuracy are
 all derived from them.  Classification of the documents is
-embarrassingly parallel: each worker process receives the corpus, the
-lexicon and the configuration once, classifies slices of the corpus
-and returns a count per ``(gold, predicted, reason)``.  The counts are
-summed, and integer sums do not depend on their order, so any
+embarrassingly parallel: at most ``parallelism`` processes, this one
+included, each classify one contiguous slice of the corpus, and each
+slice yields a count per ``(gold, predicted, reason)``.  The counts
+are summed, and integer sums do not depend on their order, so any
 ``parallelism`` value produces a report byte-identical to the
 sequential one.  The records are named tuples.  :mod:`lexid` imports
-this module on first use of one of its names, the process pool is
-imported only when :func:`evaluate` starts workers, and :mod:`csv` only
-when a CSV report is written.
+this module on first use of one of its names, :mod:`multiprocessing`
+is imported only when :func:`evaluate` starts workers, and :mod:`csv`
+only when a CSV report is written.
 """
 
 from __future__ import annotations
@@ -196,17 +196,13 @@ def _tally(
     return tally
 
 
-#: ``(golds, texts, lex, cfg)`` of the evaluation a worker process serves.
-_worker_state: tuple = ()
-
-
-def _init_worker(golds: list[str], texts: list[str], lex: LexiconSet, cfg: ScoringConfig):
-    global _worker_state
-    _worker_state = (golds, texts, lex, cfg)
-
-
-def _tally_slice(bounds: tuple[int, int]) -> Counter:
-    return _tally(*_worker_state, *bounds)
+def _tally_to(sender, *args) -> None:
+    """Send ``_tally(*args)``, or the exception it raised, through ``sender``."""
+    try:
+        result = _tally(*args)
+    except Exception as exc:
+        result = exc
+    sender.send(result)
 
 
 def evaluate(
@@ -220,12 +216,15 @@ def evaluate(
     Every gold label must name a language of ``lex``.  Both
     non-classification reasons land in the single ``unclassified``
     bucket; the per-reason split is kept separately in the report.
-    ``parallelism`` worker processes, capped at the CPU count, each
-    receive the corpus, ``lex`` and ``cfg`` once when they start (a
+    ``parallelism`` workers, capped at the CPU count, each classify one
+    contiguous slice of the corpus into ``(gold, predicted, reason)``
+    counts, which this process sums.  One worker runs in this process
+    and classifies the first slice; each other one is a process that
+    receives the corpus, ``lex`` and ``cfg`` once when it starts (a
     forked worker inherits them; otherwise they are pickled once per
-    worker), classify one contiguous slice of the corpus and return its
-    ``(gold, predicted, reason)`` counts, which this process sums.  One
-    worker runs in this process.
+    worker).  A worker's exception is raised here with its own type, a
+    worker that exits without sending its counts raises
+    :class:`RuntimeError`, and no worker outlives the call.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -240,16 +239,40 @@ def evaluate(
     if workers < 2:
         tally = _tally(golds, texts, lex, cfg, 0, len(corpus))
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
 
         size = math.ceil(len(corpus) / workers)
-        bounds = [(i, i + size) for i in range(0, len(corpus), size)]
-        with ProcessPoolExecutor(
-            max_workers=len(bounds),
-            initializer=_init_worker,
-            initargs=(golds, texts, lex, cfg),
-        ) as pool:
-            tally = sum(pool.map(_tally_slice, bounds), Counter())
+        children = []
+        try:
+            for start in range(size, len(corpus), size):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(
+                    target=_tally_to, args=(sender, golds, texts, lex, cfg, start, start + size)
+                )
+                child.start()
+                sender.close()
+                children.append((child, receiver))
+            tally = _tally(golds, texts, lex, cfg, 0, size)
+            for child, receiver in children:
+                try:
+                    result = receiver.recv()
+                except EOFError:
+                    child.join()
+                    raise RuntimeError(
+                        f"evaluation worker exited with code {child.exitcode}"
+                        " before sending its counts"
+                    ) from None
+                if isinstance(result, Exception):
+                    raise result
+                tally += result
+        except BaseException:
+            for child, _ in children:
+                child.terminate()
+            raise
+        finally:
+            for child, receiver in children:
+                child.join()
+                receiver.close()
 
     covered = sum(tally.values())
     if covered != len(corpus):

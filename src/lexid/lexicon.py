@@ -97,14 +97,15 @@ class LexiconSet:
     """An ordered set of language lexicons plus the cross-language index.
 
     Language codes must be non-empty lowercase UTF-8 text without
-    surrounding whitespace, each one directory name (no ``/``, not ``.``
-    or ``..``) so that saving and loading reproduces it, and may not be
-    :data:`UNCLASSIFIED` or :data:`UNDETERMINED`, the labels of texts no
-    language won.  The private ``_index`` maps each term of a namespace
+    surrounding whitespace, each one directory name (no ``/`` or NUL,
+    not ``.`` or ``..``) so that saving and loading reproduces it, and
+    may not be :data:`UNCLASSIFIED` or :data:`UNDETERMINED`, the labels
+    of texts no language won.  The private ``_index`` maps each term of a namespace
     to the ascending positions, in :attr:`codes`, of the languages
     listing it; it is the only cross-language view.
-    Immutable after construction; safe to share between any number of
-    concurrent scorers.
+    Immutable after construction, save the digest :meth:`fingerprint`
+    stores on first use; safe to share between any number of concurrent
+    scorers.
     """
 
     def __init__(self, languages: Mapping[str, LanguageLexicon]):
@@ -122,7 +123,7 @@ class LexiconSet:
                 raise LexiconError(f"language code {code!r} has surrounding whitespace")
             if code != code.lower():
                 raise LexiconError(f"language code {code!r} is not lowercase")
-            if "/" in code or os.sep in code or code in (".", ".."):
+            if "/" in code or os.sep in code or "\x00" in code or code in (".", ".."):
                 raise LexiconError(f"language code {code!r} is not a single directory name")
             try:
                 code.encode("utf-8")
@@ -140,6 +141,7 @@ class LexiconSet:
                     kind_index[term] = own if positions is None else positions + own
         self._index = index
         self._all_diacritics = frozenset(index[DIACRITIC])
+        self._fingerprint: str | None = None
 
     @property
     def languages(self) -> Mapping[str, LanguageLexicon]:
@@ -160,17 +162,19 @@ class LexiconSet:
         return self._all_diacritics
 
     def fingerprint(self) -> str:
-        """Stable hex digest of the full lexicon content."""
-        import hashlib  # loads OpenSSL; only evaluation reports need the digest
+        """Stable hex digest of the full lexicon content, computed on first use."""
+        if self._fingerprint is None:
+            import hashlib  # loads OpenSSL; only evaluation reports need the digest
 
-        digest = hashlib.sha256()
-        for code in sorted(self._languages):
-            lexicon = self._languages[code]
-            for word in sorted(lexicon.stopwords):
-                digest.update(f"{code}\t{STOPWORD}\t{word}\n".encode())
-            for ch in sorted(lexicon.diacritics):
-                digest.update(f"{code}\t{DIACRITIC}\t{ch}\n".encode())
-        return digest.hexdigest()[:16]
+            digest = hashlib.sha256()
+            for code in sorted(self._languages):
+                lexicon = self._languages[code]
+                for word in sorted(lexicon.stopwords):
+                    digest.update(f"{code}\t{STOPWORD}\t{word}\n".encode())
+                for ch in sorted(lexicon.diacritics):
+                    digest.update(f"{code}\t{DIACRITIC}\t{ch}\n".encode())
+            self._fingerprint = digest.hexdigest()[:16]
+        return self._fingerprint
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LexiconSet):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import lexid
 from lexid import PRESETS, classify, demo_lexicon_dir, load_lexicon, normalize_text, preset_config
 from lexid.cli import main
 
-from test_evaluation import hostile_json_line
+from test_evaluation import fork_with_failures, hostile_json_line, raising
 from test_lexicon import NOT_UTF8, write_lexicon_dir
 
 DEMO = str(demo_lexicon_dir())
@@ -238,6 +239,20 @@ class TestStartup:
         ]
         assert loaded_after_detect(self.ARGV, heavy) == ["fr", "[]"]
 
+    @pytest.mark.parametrize(
+        ("jobs", "absent"),
+        [("1", ["multiprocessing", "concurrent.futures.process"]),
+         ("2", ["concurrent.futures.process"])],
+    )
+    def test_evaluate_loads_no_executor(self, tmp_path, jobs, absent):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("fr\tle café est déjà froid\nes\tel niño está aquí\n", "utf-8")
+        argv = ["evaluate", "--lexicon", DEMO, "--corpus", str(corpus), "--format", "tsv",
+                "--preset", "test9", "--jobs", jobs]
+        *report, loaded = loaded_after_detect(argv, absent)
+        assert report[0].startswith("Documents: 2")
+        assert loaded == "[]"
+
     def test_detect_loads_no_dataclasses_inspect_json_or_evaluation(self):
         heavy = ["dataclasses", "inspect", "json", "lexid.evaluation"]
         assert loaded_after_detect(self.ARGV, heavy) == ["fr", "[]"]
@@ -447,6 +462,17 @@ class TestEvaluate:
             assert code == 0
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_worker_out_of_memory_exit_code(self, capsys, monkeypatch, ab_dir, corpus_tsv):
+        fork_with_failures(monkeypatch, workers=raising(MemoryError()))
+        code, out, err = run(
+            capsys,
+            ["evaluate", "--lexicon", ab_dir, "--corpus", corpus_tsv, "--format", "tsv",
+             "--preset", "test9", "--jobs", "2"],
+        )
+        assert (code, out) == (2, "")
+        assert err == "lexid: i/o error: out of memory (input too large)\n"
+        assert multiprocessing.active_children() == []
 
     def test_preset_equals_flags(self, capsys, ab_dir, corpus_tsv):
         base = ["evaluate", "--lexicon", ab_dir, "--corpus", corpus_tsv, "--format", "tsv",

@@ -1,10 +1,12 @@
-import functools
+import contextlib
 import json
 import logging
 import multiprocessing
+import os
 import re
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 
 import pytest
 
@@ -176,6 +178,53 @@ def make_corpus(pairs):
     ]
 
 
+def raising(exc):
+    """An action that raises ``exc``."""
+
+    def action():
+        raise exc
+
+    return action
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with ``TimeoutError`` instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def fork_with_failures(monkeypatch, workers=None, own=None):
+    """Make ``evaluate`` fork one worker, and call ``workers()`` before the
+    worker counts its slice and ``own()`` before this process counts its own.
+
+    A forked worker inherits the patched ``_tally`` whatever the default
+    start method is.
+    """
+    import lexid.evaluation
+
+    monkeypatch.setattr("multiprocessing.Process", multiprocessing.get_context("fork").Process)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    tally = lexid.evaluation._tally
+
+    def failing(golds, texts, lex, cfg, start, stop):
+        action = own if start == 0 else workers
+        if action is not None:
+            action()
+        return tally(golds, texts, lex, cfg, start, stop)
+
+    monkeypatch.setattr(lexid.evaluation, "_tally", failing)
+
+
 class TestEvaluate:
     def test_all_correct(self, ab_lex):
         corpus = make_corpus([("a", "le le"), ("a", "le café"), ("b", "el el"), ("b", "el ñu")])
@@ -264,19 +313,52 @@ class TestEvaluate:
         assert sequential == parallel
         for fmt in ("table", "csv", "json"):
             assert emit_report(sequential, fmt) == emit_report(parallel, fmt)
+        assert multiprocessing.active_children() == []
 
     def test_spawned_workers_equal_sequential(self, demo_lex, monkeypatch):
         corpus, _ = synth_corpus(demo_lex, 20)
         cfg = preset_config("test9")
         sequential = evaluate(corpus, demo_lex, cfg, parallelism=1)
         spawn = multiprocessing.get_context("spawn")
-        monkeypatch.setattr(
-            "concurrent.futures.ProcessPoolExecutor",
-            functools.partial(ProcessPoolExecutor, mp_context=spawn),
-        )
+        spawned = []
+
+        def spawn_process(**kwargs):
+            spawned.append(spawn.Process(**kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr("multiprocessing.Process", spawn_process)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         parallel = evaluate(corpus, demo_lex, cfg, parallelism=2)
         for fmt in ("table", "csv", "json"):
             assert emit_report(sequential, fmt) == emit_report(parallel, fmt)
+        # The one worker really was a spawned process, and it finished.
+        assert [(type(child), child.exitcode) for child in spawned] == [(spawn.Process, 0)]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_keeps_its_type(self, ab_lex, monkeypatch):
+        fork_with_failures(monkeypatch, workers=raising(MemoryError()))
+        corpus = make_corpus([("a", "le"), ("b", "el")] * 5)
+        with pytest.raises(MemoryError):
+            evaluate(corpus, ab_lex, preset_config("test3"), parallelism=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_without_counts(self, ab_lex, monkeypatch):
+        fork_with_failures(monkeypatch, workers=lambda: os._exit(1))
+        corpus = make_corpus([("a", "le"), ("b", "el")] * 5)
+        with deadline(30), pytest.raises(RuntimeError, match="exited with code 1 before") as info:
+            evaluate(corpus, ab_lex, preset_config("test3"), parallelism=2)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+        assert multiprocessing.active_children() == []
+
+    def test_own_slice_failure_terminates_workers(self, ab_lex, monkeypatch):
+        fork_with_failures(
+            monkeypatch, workers=lambda: time.sleep(60), own=raising(ValueError("own slice"))
+        )
+        corpus = make_corpus([("a", "le"), ("b", "el")] * 5)
+        # Without the terminate, joining the sleeping worker would take 60 s.
+        with deadline(30), pytest.raises(ValueError, match="own slice"):
+            evaluate(corpus, ab_lex, preset_config("test3"), parallelism=2)
+        assert multiprocessing.active_children() == []
 
     def test_tallies_must_cover_the_corpus(self, ab_lex, monkeypatch):
         import lexid.evaluation
@@ -292,37 +374,35 @@ class TestEvaluate:
             evaluate(corpus, ab_lex, preset_config("test3"))
 
     @pytest.mark.parametrize(
-        ("cpu_count", "jobs", "expected"),
+        ("cpu_count", "jobs", "workers"),
         [(3, 100_000, 3), (3, 2, 2), (None, 100_000, None), (1, 100_000, None)],
     )
     def test_pool_is_capped_at_cpu_count(
-        self, ab_lex, monkeypatch, cpu_count, jobs, expected
+        self, ab_lex, monkeypatch, cpu_count, jobs, workers
     ):
-        import lexid.evaluation
+        # ``workers`` processes classify, this one included.
+        started = []
 
-        created = []
+        class InProcessChild:
+            def __init__(self, target, args):
+                self.target, self.args = target, args
 
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                created.append(max_workers)
-                initializer(*initargs)
+            def start(self):
+                started.append(self)
+                self.target(*self.args)
 
-            def __enter__(self):
-                return self
+            def join(self):
+                pass
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def terminate(self):
+                pass
 
         corpus = make_corpus([("a", "le"), ("b", "el"), ("a", "zz")] * 10)
         serial = evaluate(corpus, ab_lex, preset_config("test3"))
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(lexid.evaluation, "_worker_state", ())
+        monkeypatch.setattr("multiprocessing.Process", InProcessChild)
         monkeypatch.setattr("os.cpu_count", lambda: cpu_count)
         report = evaluate(corpus, ab_lex, preset_config("test3"), parallelism=jobs)
-        assert created == ([] if expected is None else [expected])
+        assert len(started) == (workers or 1) - 1
         assert report == serial
 
     def test_empty_corpus(self, ab_lex):

@@ -312,6 +312,12 @@ class TestLoadAndSave:
         assert demo_lex.fingerprint() != augment_with_stripped_variants(demo_lex).fingerprint()
         assert demo_lex.fingerprint() == load_lexicon(demo_lexicon_dir()).fingerprint()
 
+    def test_fingerprint_is_hashed_once(self, monkeypatch):
+        lex = LexiconSet({"a": LanguageLexicon(frozenset({"le"}), frozenset({"é"}))})
+        first = lex.fingerprint()
+        monkeypatch.setattr("hashlib.sha256", None)  # a second hashing would fail
+        assert lex.fingerprint() is first
+
 
 class TestConstructorInvariants:
     def test_rejects_unnormalized_stop_word(self):
@@ -380,7 +386,7 @@ class TestConstructorInvariants:
                 }
             )
 
-    @pytest.mark.parametrize("code", [".", "..", "a/b", "/fr", "fr/", os.sep + "x"])
+    @pytest.mark.parametrize("code", [".", "..", "a/b", "/fr", "fr/", os.sep + "x", "f\x00r"])
     def test_rejects_code_that_is_not_a_directory_name(self, code):
         # save_lexicon would write outside the root, or into a nested directory.
         message = f"language code {code!r} is not a single directory name"
@@ -391,6 +397,20 @@ class TestConstructorInvariants:
                     code: LanguageLexicon(frozenset({"el"}), frozenset()),
                 }
             )
+
+    def test_nul_code_never_reaches_save(self, tmp_path):
+        # No file system can name it: saving would write "aa/" and then fail.
+        with pytest.raises(LexiconError, match="is not a single directory name"):
+            save_lexicon(
+                LexiconSet(
+                    {
+                        "aa": LanguageLexicon(frozenset({"le"}), frozenset()),
+                        "f\x00r": LanguageLexicon(frozenset({"el"}), frozenset()),
+                    }
+                ),
+                tmp_path,
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_never_equal_to_another_type(self, demo_lex):
         assert (demo_lex == 3) is False
