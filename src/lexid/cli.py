@@ -1,13 +1,14 @@
 """Command-line interface: detect, evaluate, dict, presets.
 
 Exit codes: 0 success (an unclassified text is *not* an error), 1 usage
-error, 2 I/O error or an input too large for memory, 3 lexicon
-validation failure (a language code that is not UTF-8 text included), 4
-corpus rejected for too many malformed lines.  ``detect --stdin`` and
-``detect --file`` classify one text per line, decoded as UTF-8 whatever
-the interpreter's stdio encoding; a byte-order mark at the start of the
-input is dropped, and lines end only at ``\\n``, so a lone ``\\r`` stays
-inside its line.
+error, 2 I/O error, an input too large for memory or an evaluation
+worker that exited before sending its counts (as one the system killed
+for memory does), 3 lexicon validation failure (a language code that is
+not UTF-8 text included), 4 corpus rejected for too many malformed
+lines.  ``detect --stdin`` and ``detect --file`` classify one text per
+line, decoded as UTF-8 whatever the interpreter's stdio encoding; a
+byte-order mark at the start of the input is dropped, and lines end only
+at ``\\n``, so a lone ``\\r`` stays inside its line.
 A reader that closes stdout early, as in
 ``lexid detect --stdin | head -1``, ends the run quietly with exit 0;
 a command started with the stdin or stdout it needs closed exits 2.
@@ -38,8 +39,7 @@ from .lexicon import (
     strip_diacritics,
     validate_lexicon,
 )
-from .normalize import normalize_text
-from .scoring import PRESETS, TF_MODES, WEIGHT_MODES, ScoringConfig, classify, preset_config
+from .scoring import PRESETS, TF_MODES, WEIGHT_MODES, ScoringConfig, _classify_text, preset_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,9 +150,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         else:
             lines = [args.text]
         for line in lines:
-            verdict, scores = classify(normalize_text(line.rstrip("\n")), lex, cfg)
+            verdict, values = _classify_text(line.rstrip("\n"), lex, cfg)
             label = verdict.language or UNDETERMINED
             if args.scores:
+                scores = dict(zip(lex.codes, values))
                 print(
                     json.dumps(
                         {"language": label, "reason": verdict.reason, "scores": scores},
@@ -178,7 +179,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     except CorpusFormatError as exc:
         print(f"lexid: corpus error: {exc}", file=sys.stderr)
         return EXIT_CORPUS
-    report = evaluate(corpus, lex, cfg, parallelism=args.jobs)
+    try:
+        report = evaluate(corpus, lex, cfg, parallelism=args.jobs)
+    except RuntimeError as exc:  # a worker exited before sending its counts
+        print(f"lexid: error: {exc}", file=sys.stderr)
+        return EXIT_IO
     payload = emit_report(report, args.report)
     if out is None:
         Path(args.out).write_bytes(payload)

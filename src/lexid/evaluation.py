@@ -10,10 +10,13 @@ included, each classify one contiguous slice of the corpus, and each
 slice yields a count per ``(gold, predicted, reason)``.  The counts
 are summed, and integer sums do not depend on their order, so any
 ``parallelism`` value produces a report byte-identical to the
-sequential one.  The records are named tuples.  :mod:`lexid` imports
-this module on first use of one of its names, :mod:`multiprocessing`
-is imported only when :func:`evaluate` starts workers, and :mod:`csv`
-only when a CSV report is written.
+sequential one.  Each document is classified from its raw text through
+the path ``lexid detect`` uses, which holds one chunk of a long text at
+a time, so the corpus itself is the bulk of the memory.  The records
+are named tuples.  :mod:`lexid` imports this module on first use of one
+of its names, :mod:`multiprocessing` is imported only when
+:func:`evaluate` starts workers, and :mod:`csv` only when a CSV report
+is written.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from collections import Counter, namedtuple
 from pathlib import Path
 
 from .lexicon import UNCLASSIFIED, LexiconSet
-from .normalize import normalize_text
-from .scoring import NO_EVIDENCE, TIE, ScoringConfig, classify
+from .scoring import NO_EVIDENCE, TIE, ScoringConfig, _classify_text
 
 logger = logging.getLogger(__name__)
 
@@ -191,7 +193,7 @@ def _tally(
     """Count ``(gold, predicted, reason)`` over documents ``start:stop``."""
     tally = Counter()
     for gold, text in zip(golds[start:stop], texts[start:stop]):
-        verdict, _ = classify(normalize_text(text), lex, cfg)
+        verdict, _ = _classify_text(text, lex, cfg)
         tally[gold, verdict.language or UNCLASSIFIED, verdict.reason] += 1
     return tally
 
@@ -242,6 +244,7 @@ def evaluate(
         import multiprocessing
 
         size = math.ceil(len(corpus) / workers)
+        lex._diacritic_pattern()  # compiled once here, so forked workers inherit it
         children = []
         try:
             for start in range(size, len(corpus), size):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import unicodedata
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
@@ -104,8 +105,8 @@ class LexiconSet:
     to the ascending positions, in :attr:`codes`, of the languages
     listing it; it is the only cross-language view.
     Immutable after construction, save the digest :meth:`fingerprint`
-    stores on first use; safe to share between any number of concurrent
-    scorers.
+    and the diacritic pattern the raw-text path compiles, each stored on
+    first use; safe to share between any number of concurrent scorers.
     """
 
     def __init__(self, languages: Mapping[str, LanguageLexicon]):
@@ -142,6 +143,7 @@ class LexiconSet:
         self._index = index
         self._all_diacritics = frozenset(index[DIACRITIC])
         self._fingerprint: str | None = None
+        self._diacritic_re: re.Pattern | None = None
 
     @property
     def languages(self) -> Mapping[str, LanguageLexicon]:
@@ -175,6 +177,17 @@ class LexiconSet:
                     digest.update(f"{code}\t{DIACRITIC}\t{ch}\n".encode())
             self._fingerprint = digest.hexdigest()[:16]
         return self._fingerprint
+
+    def _diacritic_pattern(self) -> re.Pattern:
+        """A pattern matching any one diacritic of any language, compiled on first use.
+
+        Compiling it costs more than loading a small lexicon, so only
+        the raw-text path that counts with it builds it.
+        """
+        if self._diacritic_re is None:
+            letters = "".join(map(re.escape, sorted(self._all_diacritics)))
+            self._diacritic_re = re.compile(f"[{letters}]" if letters else "(?!)")
+        return self._diacritic_re
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LexiconSet):

@@ -13,6 +13,12 @@ constant time.  A :class:`NormalizedText` is a named tuple.
 A URL chunk always contains ``://`` or ``www.``, so only a text holding
 one of them has its URL chunks removed, with one substitution; every text
 then goes through the same single letter-run ``findall``.
+
+``lexid evaluate`` and ``lexid detect`` build no :class:`NormalizedText`:
+:func:`_term_counts` counts a text's tokens and only the lexicon's
+diacritics, one whitespace-cut chunk of about 64 Ki characters at a
+time, so its memory is bounded by one chunk plus the distinct terms.
+Only a text with no whitespace to cut at is held whole.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ _URL_RE = re.compile(r"(?<![^\s\ufeff])[#@]*(?:[a-z][a-z0-9+.-]*://|www\.)[^\s\u
 # class is every ``str.isalpha`` character plus non-letter numerics such
 # as "²" and "½", which ``_tokens`` splits out again.
 _LETTER_RUN_RE = re.compile(r"[^\W\d_]+")
+# ``_term_counts`` cuts a text longer than this many characters into chunks.
+_CHUNK = 1 << 16
+_SPACE_RE = re.compile(r"\s")
 
 
 class NormalizedText(namedtuple("NormalizedText", "tokens char_freq token_freq")):
@@ -46,15 +55,29 @@ class NormalizedText(namedtuple("NormalizedText", "tokens char_freq token_freq")
     __slots__ = ()
 
 
+def _lowered(raw: str) -> str:
+    """``raw`` lowercased and NFC-composed, with its URL chunks removed.
+
+    These are steps 1-2 of :func:`normalize_text`, short of collecting
+    the letter runs.
+    """
+    lowered = unicodedata.normalize("NFC", raw.lower())
+    if "://" in lowered or "www." in lowered:
+        lowered = _URL_RE.sub("", lowered)
+    return lowered
+
+
+def _letter_parts(run: str):
+    """The letter tokens of a letter run that holds a non-letter numeric."""
+    return ("".join(part) for is_alpha, part in groupby(run, str.isalpha) if is_alpha)
+
+
 def _tokens(raw: str) -> tuple[list[str], str]:
     """The letter tokens of ``raw`` in order, and their concatenation.
 
     These are steps 1-3 of :func:`normalize_text`.
     """
-    lowered = unicodedata.normalize("NFC", raw.lower())
-    if "://" in lowered or "www." in lowered:
-        lowered = _URL_RE.sub("", lowered)
-    tokens = _LETTER_RUN_RE.findall(lowered)
+    tokens = _LETTER_RUN_RE.findall(_lowered(raw))
     joined = "".join(tokens)
     if joined.isalpha():
         return tokens, joined
@@ -64,9 +87,7 @@ def _tokens(raw: str) -> tuple[list[str], str]:
         if run.isalpha():
             letters.append(run)
         else:
-            letters.extend(
-                "".join(part) for is_alpha, part in groupby(run, str.isalpha) if is_alpha
-            )
+            letters.extend(_letter_parts(run))
     return letters, "".join(letters)
 
 
@@ -90,3 +111,46 @@ def normalize_text(raw: str) -> NormalizedText:
     """
     tokens, joined = _tokens(raw)
     return NormalizedText(tuple(tokens), dict(Counter(joined)), dict(Counter(tokens)))
+
+
+def _chunks(raw: str):
+    """``raw`` cut right after whitespace into pieces of about ``_CHUNK`` characters.
+
+    No token, URL chunk, canonical composition or final-sigma context
+    spans whitespace, so the pieces normalize independently.  A text of
+    at most ``_CHUNK`` characters, or one with no whitespace after that
+    point, stays whole.
+    """
+    start = 0
+    while len(raw) - start > _CHUNK:
+        cut = _SPACE_RE.search(raw, start + _CHUNK)
+        if cut is None:
+            break
+        yield raw[start : cut.end()]
+        start = cut.end()
+    yield raw[start:]
+
+
+def _term_counts(raw: str, diacritics: re.Pattern) -> tuple[Counter, Counter]:
+    """The token counts of ``raw``, and the counts of the letters ``diacritics`` matches.
+
+    They equal the ``token_freq`` of ``normalize_text(raw)`` and its
+    ``char_freq`` at those letters: every letter of the lowered,
+    URL-stripped text lies in some token, so ``diacritics``, a class of
+    letters, counts on that text directly.  Only one chunk of the text
+    is held in lowered form at a time.
+    """
+    runs = Counter()
+    chars = Counter()
+    for chunk in _chunks(raw) if len(raw) > _CHUNK else (raw,):
+        lowered = _lowered(chunk)
+        runs.update(_LETTER_RUN_RE.findall(lowered))
+        chars.update(diacritics.findall(lowered))
+    if "".join(runs).isalpha():
+        return runs, chars
+    # Some run holds a non-letter numeric: split just those runs on it.
+    tokens = Counter()
+    for run, count in runs.items():
+        for token in (run,) if run.isalpha() else _letter_parts(run):
+            tokens[token] += count
+    return tokens, chars

@@ -24,10 +24,15 @@ proportional to the text's distinct tokens and characters and does not
 depend on dictionary size.  The lexicon maps each term to the positions
 of the languages listing it; one kernel adds each matched term into lists
 indexed by position and returns the scores as a list in lexicon order,
-which :func:`classify` picks its verdict on.  Each weight is computed
-once per (weight mode, language count) and then read from a table
-indexed by ``n``.  :class:`ScoringConfig` and :class:`Verdict` are named
-tuples.
+which :func:`classify` picks its verdict on.  The kernel reads one map
+of token counts and one of character counts: :func:`score_all` and
+:func:`classify` pass a :class:`~lexid.normalize.NormalizedText`'s two
+maps, and ``lexid evaluate`` and ``lexid detect`` pass the counts of a
+raw text's tokens and of the lexicon's diacritics, counted one chunk at
+a time (:func:`_classify_text`), which give the same scores bit for bit.
+Each weight is computed once per (weight mode, language count) and then
+read from a table indexed by ``n``.  :class:`ScoringConfig` and
+:class:`Verdict` are named tuples.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .lexicon import DIACRITIC, STOPWORD, LexiconError, LexiconSet
-from .normalize import NormalizedText
+from .normalize import NormalizedText, _term_counts
 
 #: ``tf_mode`` -> term frequency of an occurrence count.
 _TF = {"raw": float, "log": math.log1p}
@@ -135,8 +140,12 @@ class Verdict(namedtuple("Verdict", "language reason", defaults=(None,))):
     __slots__ = ()
 
 
-def _scores(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> list[float]:
-    """Every language's score, in lexicon order, with a shared effective p."""
+def _scores(token_freq: dict, char_freq: dict, lex: LexiconSet, cfg: ScoringConfig) -> list[float]:
+    """Every language's score, in lexicon order, with a shared effective p.
+
+    ``token_freq`` counts a text's tokens and ``char_freq`` at least its
+    diacritics; a key that is no term of ``lex`` is never read.
+    """
     n_languages = lex.n_languages
     if n_languages < 2:
         raise LexiconError("classification requires at least 2 languages")
@@ -145,7 +154,7 @@ def _scores(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> list[flo
     # Every language adds its matched terms in sorted term order starting
     # from 0.0, so each sum is reproducible across processes and runs.
     totals = []
-    for kind, freq in ((STOPWORD, nt.token_freq), (DIACRITIC, nt.char_freq)):
+    for kind, freq in ((STOPWORD, token_freq), (DIACRITIC, char_freq)):
         index = lex._index[kind]  # term -> positions of the languages listing it
         total = [0.0] * n_languages
         matched = sorted(index.keys() & freq.keys())
@@ -164,7 +173,7 @@ def _scores(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> list[flo
 
 def score_all(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> dict[str, float]:
     """Score every language, in lexicon order, with a shared effective p."""
-    return dict(zip(lex.codes, _scores(nt, lex, cfg)))
+    return dict(zip(lex.codes, _scores(nt.token_freq, nt.char_freq, lex, cfg)))
 
 
 def classify(
@@ -176,8 +185,19 @@ def classify(
     two or more languages (within ``TIE_REL_TOL`` relative) yields
     ``tie``.
     """
-    values = _scores(nt, lex, cfg)
+    values = _scores(nt.token_freq, nt.char_freq, lex, cfg)
     return _verdict(lex.codes, values), dict(zip(lex.codes, values))
+
+
+def _classify_text(raw: str, lex: LexiconSet, cfg: ScoringConfig) -> tuple[Verdict, list[float]]:
+    """``classify(normalize_text(raw), lex, cfg)``, with the scores as a list in lexicon order.
+
+    The verdict and scores are the same, bit for bit, but only the
+    token counts and the lexicon's diacritics are counted, one chunk of
+    ``raw`` at a time.
+    """
+    values = _scores(*_term_counts(raw, lex._diacritic_pattern()), lex, cfg)
+    return _verdict(lex.codes, values), values
 
 
 def _verdict(codes: tuple[str, ...], values: list[float]) -> Verdict:

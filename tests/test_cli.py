@@ -394,22 +394,34 @@ class TestDetectErrors:
         assert (code, out) == (3, "")
         assert f"{root}: language code 'fr ' has surrounding whitespace" in err
 
-    def test_input_too_large_for_memory(self, tmp_path, ab_dir):
+    @staticmethod
+    def detect_file_under_limit(tmp_path, lexicon, line):
+        """``lexid detect --file`` on one ``line``, in a child limited to 200 MiB."""
         resource = pytest.importorskip("resource")
         limit = 200 << 20
-        # 4 million tokens: tokenizing the line needs more than the limit.
         src = tmp_path / "big.txt"
-        src.write_text("la casa " * 2_000_000 + "\n", encoding="utf-8")
-        done = subprocess.run(
-            [sys.executable, "-m", "lexid.cli", "detect", "--lexicon", ab_dir,
+        src.write_text(line + "\n", encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "lexid.cli", "detect", "--lexicon", lexicon,
              "--preset", "test9", "--file", str(src)],
             capture_output=True,
             env={**os.environ, "PYTHONPATH": SRC},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
             timeout=120,
         )
+
+    def test_input_too_large_for_memory(self, tmp_path, ab_dir):
+        # 4 million tokens and no whitespace to cut the line at: tokenizing
+        # it needs more than the limit.
+        done = self.detect_file_under_limit(tmp_path, ab_dir, "la,casa," * 2_000_000)
         assert (done.returncode, done.stdout) == (2, b"")
         assert done.stderr == b"lexid: i/o error: out of memory (input too large)\n"
+
+    def test_huge_line_cut_at_whitespace_fits_in_memory(self, tmp_path, ab_dir):
+        # The same 4 million tokens, separated by spaces: the line is counted
+        # one chunk at a time.  "la" is a stop word of both languages: a tie.
+        done = self.detect_file_under_limit(tmp_path, ab_dir, "la casa " * 2_000_000)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"und\n", b"")
 
     def test_unknown_preset(self, capsys, ab_dir):
         code, _, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test10", "x"])
@@ -472,6 +484,19 @@ class TestEvaluate:
         )
         assert (code, out) == (2, "")
         assert err == "lexid: i/o error: out of memory (input too large)\n"
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_without_counts_exit_code(self, capsys, monkeypatch, ab_dir, corpus_tsv):
+        fork_with_failures(monkeypatch, workers=lambda: os._exit(1))
+        code, out, err = run(
+            capsys,
+            ["evaluate", "--lexicon", ab_dir, "--corpus", corpus_tsv, "--format", "tsv",
+             "--preset", "test9", "--jobs", "2"],
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "lexid: error: evaluation worker exited with code 1 before sending its counts\n"
+        )
         assert multiprocessing.active_children() == []
 
     def test_preset_equals_flags(self, capsys, ab_dir, corpus_tsv):

@@ -1,8 +1,9 @@
 """Static checks on the library's own source.
 
 Library code reports a failed check with an exception, never with
-``assert``, and only the module that builds the lexicon index and the
-one that scores on it read that index.
+``assert``; only the module that builds the lexicon index and the one
+that scores on it read that index; and the CLI and the evaluation both
+classify raw text through the one path that counts it chunk by chunk.
 """
 
 import ast
@@ -32,3 +33,18 @@ def test_only_lexicon_and_scoring_read_the_index():
         if isinstance(node, ast.Attribute) and node.attr == "_index"
     }
     assert readers == {"lexicon.py", "scoring.py"}
+
+
+def test_cli_and_evaluation_classify_raw_text():
+    for name in ("cli.py", "evaluation.py"):
+        path = next(path for path in SOURCES if path.name == name)
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        assert "normalize_text" not in names, name
+        assert "_classify_text" in names, name
