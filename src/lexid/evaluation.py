@@ -31,7 +31,7 @@ from collections import Counter, namedtuple
 from pathlib import Path
 
 from .lexicon import UNCLASSIFIED, LexiconSet
-from .scoring import NO_EVIDENCE, TIE, ScoringConfig, _classify_text
+from .scoring import NO_EVIDENCE, TIE, ScoringConfig, _classify_text, _compiled
 
 logger = logging.getLogger(__name__)
 
@@ -244,7 +244,9 @@ def evaluate(
         import multiprocessing
 
         size = math.ceil(len(corpus) / workers)
-        lex._diacritic_pattern()  # compiled once here, so forked workers inherit it
+        # Compiled once here, so forked workers inherit them.
+        lex._diacritic_pattern()
+        _compiled(lex, cfg)
         children = []
         try:
             for start in range(size, len(corpus), size):

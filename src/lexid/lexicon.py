@@ -104,9 +104,12 @@ class LexiconSet:
     of texts no language won.  The private ``_index`` maps each term of a namespace
     to the ascending positions, in :attr:`codes`, of the languages
     listing it; it is the only cross-language view.
-    Immutable after construction, save the digest :meth:`fingerprint`
-    and the diacritic pattern the raw-text path compiles, each stored on
-    first use; safe to share between any number of concurrent scorers.
+    Immutable after construction, save three things stored on first
+    use: the digest :meth:`fingerprint`, the diacritic pattern the
+    raw-text path compiles, and the scorer :mod:`lexid.scoring` compiles
+    for the last config it scored with (one slot, replaced when the
+    config changes).  The scorer is left out of a pickled copy.  Safe to
+    share between any number of concurrent scorers.
     """
 
     def __init__(self, languages: Mapping[str, LanguageLexicon]):
@@ -144,6 +147,7 @@ class LexiconSet:
         self._all_diacritics = frozenset(index[DIACRITIC])
         self._fingerprint: str | None = None
         self._diacritic_re: re.Pattern | None = None
+        self._scorer = None  # set by lexid.scoring._compiled
 
     @property
     def languages(self) -> Mapping[str, LanguageLexicon]:
@@ -188,6 +192,10 @@ class LexiconSet:
             letters = "".join(map(re.escape, sorted(self._all_diacritics)))
             self._diacritic_re = re.compile(f"[{letters}]" if letters else "(?!)")
         return self._diacritic_re
+
+    def __getstate__(self) -> dict:
+        # A scorer holds closures, which cannot be pickled; a copy compiles its own.
+        return {**self.__dict__, "_scorer": None}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LexiconSet):

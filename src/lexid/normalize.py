@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections import Counter, namedtuple
+from collections import Counter, _count_elements, namedtuple
 from itertools import groupby
 
 # A URL chunk: after whitespace, U+FEFF or the text's start, any ``#``/``@``
@@ -131,26 +131,28 @@ def _chunks(raw: str):
     yield raw[start:]
 
 
-def _term_counts(raw: str, diacritics: re.Pattern) -> tuple[Counter, Counter]:
+def _term_counts(raw: str, diacritics: re.Pattern) -> tuple[dict[str, int], dict[str, int]]:
     """The token counts of ``raw``, and the counts of the letters ``diacritics`` matches.
 
     They equal the ``token_freq`` of ``normalize_text(raw)`` and its
-    ``char_freq`` at those letters: every letter of the lowered,
-    URL-stripped text lies in some token, so ``diacritics``, a class of
-    letters, counts on that text directly.  Only one chunk of the text
-    is held in lowered form at a time.
+    ``char_freq`` at those letters, as plain dicts: every letter of the
+    lowered, URL-stripped text lies in some token, so ``diacritics``, a
+    class of letters, counts on that text directly.  Only one chunk of
+    the text is held in lowered form at a time.
     """
-    runs = Counter()
-    chars = Counter()
+    # ``_count_elements`` is the C loop ``Counter.update`` runs, without
+    # the cost of building and updating ``Counter`` objects.
+    runs: dict[str, int] = {}
+    chars: dict[str, int] = {}
     for chunk in _chunks(raw) if len(raw) > _CHUNK else (raw,):
         lowered = _lowered(chunk)
-        runs.update(_LETTER_RUN_RE.findall(lowered))
-        chars.update(diacritics.findall(lowered))
+        _count_elements(runs, _LETTER_RUN_RE.findall(lowered))
+        _count_elements(chars, diacritics.findall(lowered))
     if "".join(runs).isalpha():
         return runs, chars
     # Some run holds a non-letter numeric: split just those runs on it.
-    tokens = Counter()
+    tokens: dict[str, int] = {}
     for run, count in runs.items():
         for token in (run,) if run.isalpha() else _letter_parts(run):
-            tokens[token] += count
+            tokens[token] = tokens.get(token, 0) + count
     return tokens, chars

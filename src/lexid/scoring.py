@@ -22,24 +22,27 @@ the same scale; it fires when the kernel matches no diacritic term.
 Scoring visits only the dictionary terms the text contains: its cost is
 proportional to the text's distinct tokens and characters and does not
 depend on dictionary size.  The lexicon maps each term to the positions
-of the languages listing it; one kernel adds each matched term into lists
-indexed by position and returns the scores as a list in lexicon order,
-which :func:`classify` picks its verdict on.  The kernel reads one map
-of token counts and one of character counts: :func:`score_all` and
-:func:`classify` pass a :class:`~lexid.normalize.NormalizedText`'s two
-maps, and ``lexid evaluate`` and ``lexid detect`` pass the counts of a
-raw text's tokens and of the lexicon's diacritics, counted one chunk at
-a time (:func:`_classify_text`), which give the same scores bit for bit.
-Each weight is computed once per (weight mode, language count) and then
-read from a table indexed by ``n``.  :class:`ScoringConfig` and
-:class:`Verdict` are named tuples.
+of the languages listing it.  A scorer is compiled once per lexicon and
+config: it looks up the index, the term-frequency function, the weight
+table (one weight per number of listing languages), ``p`` and the
+fallback once, and prebuilds the verdict of each language winning.  The
+lexicon keeps the scorer of the last config it scored with.  Its kernel
+adds each matched term into lists indexed by position and returns the
+scores as a list in lexicon order, which :func:`classify` picks its
+verdict on; it reads one map of token counts and one of character
+counts.  :func:`score_all` and :func:`classify` pass a
+:class:`~lexid.normalize.NormalizedText`'s two maps, and ``lexid
+evaluate`` and ``lexid detect`` pass the counts of a raw text's tokens
+and of the lexicon's diacritics, counted one chunk at a time
+(:func:`_classify_text`), which give the same scores bit for bit.
+:class:`ScoringConfig` and :class:`Verdict` are named tuples.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
-from functools import lru_cache
 
 from .lexicon import DIACRITIC, STOPWORD, LexiconError, LexiconSet
 from .normalize import NormalizedText, _term_counts
@@ -54,16 +57,6 @@ _WEIGHT = {
 }
 TF_MODES = tuple(_TF)
 WEIGHT_MODES = tuple(_WEIGHT)
-
-
-@lru_cache(maxsize=64)
-def _weights(weight_mode: str, n_languages: int) -> tuple[float, ...]:
-    """Weight of a term listed by ``n`` of ``n_languages``, at index ``n``.
-
-    No term is listed by 0 languages, so index 0 holds NaN.
-    """
-    weight = _WEIGHT[weight_mode]
-    return (math.nan, *(weight(n_languages, n) for n in range(1, n_languages + 1)))
 
 
 # Non-classification reasons.
@@ -140,40 +133,92 @@ class Verdict(namedtuple("Verdict", "language reason", defaults=(None,))):
     __slots__ = ()
 
 
-def _scores(token_freq: dict, char_freq: dict, lex: LexiconSet, cfg: ScoringConfig) -> list[float]:
-    """Every language's score, in lexicon order, with a shared effective p.
+_NO_EVIDENCE_VERDICT = Verdict(None, NO_EVIDENCE)
+_TIE_VERDICT = Verdict(None, TIE)
 
-    ``token_freq`` counts a text's tokens and ``char_freq`` at least its
-    diacritics; a key that is no term of ``lex`` is never read.
+
+class _Scorer(namedtuple("_Scorer", "config verdicts scores classify_text")):
+    """One lexicon compiled under one config: every per-text constant bound once.
+
+    ``scores(token_freq, char_freq)`` is the kernel, the counts entry
+    behind :func:`score_all` and :func:`classify`;
+    ``classify_text(raw, diacritics)`` is the raw-text entry behind
+    :func:`_classify_text`.  ``verdicts`` holds one :class:`Verdict` per
+    language position.
+    """
+
+    __slots__ = ()
+
+
+def _compile(lex: LexiconSet, cfg: ScoringConfig) -> _Scorer:
+    """Look up everything ``cfg`` selects and ``lex`` indexes, once, for every text.
+
+    Only this function reads ``_index``, ``_TF``, ``_WEIGHT`` or a field
+    of ``cfg``: the closures it returns branch on no mode.
     """
     n_languages = lex.n_languages
     if n_languages < 2:
         raise LexiconError("classification requires at least 2 languages")
+    stop_index = lex._index[STOPWORD]  # term -> positions of the languages listing it
+    dia_index = lex._index[DIACRITIC]
+    stop_terms = stop_index.keys()
+    dia_terms = dia_index.keys()
     tf = _TF[cfg.tf_mode]
-    weights = _weights(cfg.weight_mode, n_languages)
-    # Every language adds its matched terms in sorted term order starting
-    # from 0.0, so each sum is reproducible across processes and runs.
-    totals = []
-    for kind, freq in ((STOPWORD, token_freq), (DIACRITIC, char_freq)):
-        index = lex._index[kind]  # term -> positions of the languages listing it
-        total = [0.0] * n_languages
-        matched = sorted(index.keys() & freq.keys())
-        for term in matched:
-            positions = index[term]
-            value = tf(freq[term]) * weights[len(positions)]
+    weight = _WEIGHT[cfg.weight_mode]
+    # The weight of a term listed by n languages, at index n; no term is listed by 0.
+    weights = (math.nan, *(weight(n_languages, n) for n in range(1, n_languages + 1)))
+    mix = (cfg.p, 1.0 - cfg.p)
+    # The effective p of a text with no known diacritic, whose ``dia`` is all 0.0.
+    no_diacritic_mix = (1.0, 0.0) if cfg.stopword_fallback else mix
+    zeros = [0.0] * n_languages
+    verdicts = tuple(map(Verdict, lex.codes))
+
+    def scores(token_freq: dict, char_freq: dict) -> list[float]:
+        """Every language's score, in lexicon order, with a shared effective p.
+
+        ``token_freq`` counts a text's tokens and ``char_freq`` at least
+        its diacritics; a key that is no term of the lexicon is never read.
+        """
+        # Every language adds its matched terms in sorted term order starting
+        # from 0.0, so each sum is reproducible across processes and runs.
+        stop = zeros.copy()
+        for term in sorted(stop_terms & token_freq.keys()):
+            positions = stop_index[term]
+            value = tf(token_freq[term]) * weights[len(positions)]
             for i in positions:
-                total[i] += value
-        totals.append(total)
-    stop, dia = totals
-    # ``matched`` is now the text's known diacritics; with none, ``dia`` is all 0.0.
-    p = 1.0 if cfg.stopword_fallback and not matched else cfg.p
-    q = 1.0 - p
-    return [p * s + q * d for s, d in zip(stop, dia)]
+                stop[i] += value
+        dia = zeros.copy()
+        matched = sorted(dia_terms & char_freq.keys())
+        for term in matched:
+            positions = dia_index[term]
+            value = tf(char_freq[term]) * weights[len(positions)]
+            for i in positions:
+                dia[i] += value
+        p, q = mix if matched else no_diacritic_mix
+        return [p * s + q * d for s, d in zip(stop, dia)]
+
+    def classify_text(raw: str, diacritics: re.Pattern) -> tuple[Verdict, list[float]]:
+        values = scores(*_term_counts(raw, diacritics))
+        return _verdict(values, verdicts), values
+
+    return _Scorer(cfg, verdicts, scores, classify_text)
+
+
+def _compiled(lex: LexiconSet, cfg: ScoringConfig) -> _Scorer:
+    """The scorer of ``lex`` under ``cfg``, compiled on first use.
+
+    ``lex`` keeps the last config's scorer only, and reuses it for any
+    config equal to that one.
+    """
+    scorer = lex._scorer
+    if scorer is None or (scorer.config is not cfg and scorer.config != cfg):
+        scorer = lex._scorer = _compile(lex, cfg)
+    return scorer
 
 
 def score_all(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> dict[str, float]:
     """Score every language, in lexicon order, with a shared effective p."""
-    return dict(zip(lex.codes, _scores(nt.token_freq, nt.char_freq, lex, cfg)))
+    return dict(zip(lex.codes, _compiled(lex, cfg).scores(nt.token_freq, nt.char_freq)))
 
 
 def classify(
@@ -185,8 +230,9 @@ def classify(
     two or more languages (within ``TIE_REL_TOL`` relative) yields
     ``tie``.
     """
-    values = _scores(nt.token_freq, nt.char_freq, lex, cfg)
-    return _verdict(lex.codes, values), dict(zip(lex.codes, values))
+    scorer = _compiled(lex, cfg)
+    values = scorer.scores(nt.token_freq, nt.char_freq)
+    return _verdict(values, scorer.verdicts), dict(zip(lex.codes, values))
 
 
 def _classify_text(raw: str, lex: LexiconSet, cfg: ScoringConfig) -> tuple[Verdict, list[float]]:
@@ -196,15 +242,16 @@ def _classify_text(raw: str, lex: LexiconSet, cfg: ScoringConfig) -> tuple[Verdi
     token counts and the lexicon's diacritics are counted, one chunk of
     ``raw`` at a time.
     """
-    values = _scores(*_term_counts(raw, lex._diacritic_pattern()), lex, cfg)
-    return _verdict(lex.codes, values), values
+    # The pattern is an argument, not a closure variable: a scorer holding
+    # ``lex`` would keep it alive in a reference cycle until garbage collection.
+    return _compiled(lex, cfg).classify_text(raw, lex._diacritic_pattern())
 
 
-def _verdict(codes: tuple[str, ...], values: list[float]) -> Verdict:
-    """The verdict on finite scores ``values``, given in the order of ``codes``."""
+def _verdict(values: list[float], verdicts: tuple[Verdict, ...]) -> Verdict:
+    """The verdict on finite scores ``values``; ``verdicts[i]`` is language ``i`` winning."""
     *_, runner_up, best = sorted(values)
     if best <= 0.0:
-        return Verdict(None, NO_EVIDENCE)
+        return _NO_EVIDENCE_VERDICT
     # For finite 0 < best and value <= best, best - value <= TIE_REL_TOL * best
     # is exactly math.isclose(value, best, rel_tol=TIE_REL_TOL, abs_tol=0.0):
     # both compare the rounded best - value with TIE_REL_TOL * best.  Its other
@@ -212,5 +259,5 @@ def _verdict(codes: tuple[str, ...], values: list[float]) -> Verdict:
     # value < 0 the gap exceeds |value|, so a negative score is never close.
     # The gap shrinks as value grows, so a tie exists iff the runner-up ties.
     if best - runner_up <= TIE_REL_TOL * best:
-        return Verdict(None, TIE)
-    return Verdict(codes[values.index(best)])
+        return _TIE_VERDICT
+    return verdicts[values.index(best)]

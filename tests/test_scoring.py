@@ -1,5 +1,10 @@
+import gc
 import math
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -12,15 +17,21 @@ from lexid import (
     PRESETS,
     ScoringConfig,
     TIE,
+    Verdict,
     classify,
+    demo_lexicon_dir,
+    evaluate,
+    load_lexicon,
     normalize_text,
     preset_config,
     score_all,
 )
-from lexid.scoring import TIE_REL_TOL, _verdict
+from lexid.lexicon import LexiconError
+from lexid.scoring import TIE_REL_TOL, _classify_text, _verdict
 
 from _oracle import rescan_scores, rescan_verdict
 from _synth import random_instance
+from test_scores_golden import TEXTS as GOLDEN_TEXTS
 
 
 def one_term_scores(text, lex, p=0.0, tf_mode="raw", weight_mode="unit"):
@@ -195,6 +206,7 @@ class TestClassify:
 
 
 CODES = ("a", "b", "c", "d", "e", "f")
+VERDICTS = tuple(map(Verdict, CODES))
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
@@ -222,18 +234,18 @@ class TestTieRule:
     def test_any_score_below_best(self, best, value, swap):
         assume(value <= best)
         values = [best, value] if swap else [value, best]
-        verdict = _verdict(CODES[:2], values)
+        verdict = _verdict(values, VERDICTS[:2])
         assert (verdict.language, verdict.reason) == isclose_verdict(values)
 
     @given(near_tie(), st.booleans())
     def test_at_the_boundary(self, pair, swap):
         values = list(pair[::-1] if swap else pair)
-        verdict = _verdict(CODES[:2], values)
+        verdict = _verdict(values, VERDICTS[:2])
         assert (verdict.language, verdict.reason) == isclose_verdict(values)
 
     @given(st.lists(finite, min_size=2, max_size=len(CODES)))
     def test_any_scores(self, values):
-        verdict = _verdict(CODES[: len(values)], values)
+        verdict = _verdict(values, VERDICTS[: len(values)])
         assert (verdict.language, verdict.reason) == isclose_verdict(values)
 
 
@@ -294,3 +306,109 @@ class TestAgainstOracle:
                 assert got[code] >= 0.0 and math.isfinite(got[code])
             verdict, _ = classify(nt, lex, cfg)
             assert (verdict.language, verdict.reason) == rescan_verdict(expected)
+
+
+def hex_scores(lex, cfg, texts=GOLDEN_TEXTS):
+    """``classify`` and ``_classify_text`` of every text: verdicts and ``float.hex`` scores."""
+    results = []
+    for text in texts:
+        verdict, scores = classify(normalize_text(text), lex, cfg)
+        raw_verdict, values = _classify_text(text, lex, cfg)
+        results.append((verdict, [v.hex() for v in scores.values()],
+                        raw_verdict, [v.hex() for v in values]))
+    return results
+
+
+class TestCompiledScorer:
+    """A lexicon keeps one scorer, for the last config it scored with."""
+
+    def test_changing_config_rescores(self):
+        lex = load_lexicon(demo_lexicon_dir())
+        configs = [PRESETS["test1"], PRESETS["test9"], PRESETS["test1"],
+                   ScoringConfig(*PRESETS["test9"])]
+        for cfg in configs:
+            fresh = load_lexicon(demo_lexicon_dir())
+            assert hex_scores(lex, cfg) == hex_scores(fresh, cfg)
+            assert lex._scorer.config == cfg
+
+    def test_equal_config_keeps_the_scorer(self):
+        lex = load_lexicon(demo_lexicon_dir())
+        _classify_text(GOLDEN_TEXTS[2], lex, PRESETS["test9"])
+        scorer = lex._scorer
+        classify(normalize_text(GOLDEN_TEXTS[2]), lex, ScoringConfig(*PRESETS["test9"]))
+        assert lex._scorer is scorer
+
+    def test_scoring_leaves_no_reference_cycle(self):
+        # A lexicon in a cycle outlives its last use until the collector runs.
+        lex = load_lexicon(demo_lexicon_dir())
+        classify(normalize_text(GOLDEN_TEXTS[2]), lex, PRESETS["test9"])
+        _classify_text(GOLDEN_TEXTS[2], lex, PRESETS["test9"])
+        assert lex._scorer is not None
+        ref = weakref.ref(lex)
+        gc.disable()
+        try:
+            del lex
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_threads_with_different_configs_share_a_lexicon(self):
+        lex = load_lexicon(demo_lexicon_dir())
+        names = sorted(PRESETS)
+        serial = {name: hex_scores(load_lexicon(demo_lexicon_dir()), PRESETS[name])
+                  for name in names}
+        results = {}
+
+        def work(name):
+            results[name] = [hex_scores(lex, PRESETS[name]) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(name,)) for name in names]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {name: [serial[name]] * 5 for name in names}
+
+    def test_one_language_caches_nothing(self):
+        lex = LexiconSet({"fr": LanguageLexicon(frozenset({"le"}), frozenset("é"))})
+        nt = normalize_text("le café")
+        for _ in range(2):
+            for cfg in (PRESETS["test1"], PRESETS["test9"]):
+                with pytest.raises(LexiconError, match="at least 2"):
+                    classify(nt, lex, cfg)
+                with pytest.raises(LexiconError, match="at least 2"):
+                    score_all(nt, lex, cfg)
+                with pytest.raises(LexiconError, match="at least 2"):
+                    _classify_text("le café", lex, cfg)
+                assert lex._scorer is None
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_one_language_evaluates_an_empty_corpus(self, parallelism):
+        lex = LexiconSet({"fr": LanguageLexicon(frozenset({"le"}), frozenset("é"))})
+        report = evaluate([], lex, PRESETS["test9"], parallelism=parallelism)
+        assert report.total_documents == 0
+        assert report.config_echo["languages"] == ["fr"]
+        assert lex._scorer is None
+
+    @pytest.mark.parametrize("entry", ["classify", "_classify_text"])
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_after_scoring(self, entry, protocol):
+        lex = load_lexicon(demo_lexicon_dir())
+        cfg = PRESETS["test9"]
+        if entry == "classify":
+            classify(normalize_text(GOLDEN_TEXTS[2]), lex, cfg)
+        else:
+            _classify_text(GOLDEN_TEXTS[2], lex, cfg)
+        assert lex._scorer is not None
+        copy = pickle.loads(pickle.dumps(lex, protocol))
+        assert copy == lex
+        assert copy._scorer is None
+        assert lex._scorer is not None
+        for name, preset in PRESETS.items():
+            assert hex_scores(copy, preset) == hex_scores(lex, preset), name

@@ -213,6 +213,10 @@ def test_detect_scores_bytes_on_golden_texts(tmp_path):
         assert out.getvalue() == "".join(expected)
 
 
+def test_loading_builds_no_scorer():
+    assert load_lexicon(demo_lexicon_dir())._scorer is None
+
+
 def test_classify_leaves_the_diacritic_pattern_unbuilt():
     lex = load_lexicon(demo_lexicon_dir())
     for text in GOLDEN_TEXTS:
@@ -226,4 +230,16 @@ def test_forked_workers_inherit_the_diacritic_pattern(monkeypatch):
     fork_with_failures(monkeypatch, workers=lambda: lex._diacritic_re is None and os._exit(1))
     corpus = make_corpus([("fr", "le café"), ("es", "el niño"), ("it", "la città")])
     report = evaluate(corpus, lex, PRESETS["test9"], parallelism=2)
+    assert report.total_documents == 3
+
+
+def test_forked_workers_inherit_the_compiled_scorer(monkeypatch):
+    lex = load_lexicon(demo_lexicon_dir())
+    cfg = PRESETS["test9"]
+    # A worker that would have to compile the scorer itself exits without counts.
+    fork_with_failures(
+        monkeypatch, workers=lambda: (lex._scorer is None or lex._scorer.config != cfg) and os._exit(1)
+    )
+    corpus = make_corpus([("fr", "le café"), ("es", "el niño"), ("it", "la città")])
+    report = evaluate(corpus, lex, cfg, parallelism=2)
     assert report.total_documents == 3
