@@ -150,7 +150,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         else:
             lines = [args.text]
         for line in lines:
-            verdict, values = _classify_text(line.rstrip("\n"), lex, cfg)
+            # A line's trailing \n is whitespace, which changes no count.
+            verdict, values = _classify_text(line, lex, cfg)
             label = verdict.language or UNDETERMINED
             if args.scores:
                 scores = dict(zip(lex.codes, values))

@@ -31,7 +31,7 @@ from collections import Counter, namedtuple
 from pathlib import Path
 
 from .lexicon import UNCLASSIFIED, LexiconSet
-from .scoring import NO_EVIDENCE, TIE, ScoringConfig, _classify_text, _compiled
+from .scoring import NO_EVIDENCE, TIE, ScoringConfig, _classify_text
 
 logger = logging.getLogger(__name__)
 
@@ -244,9 +244,9 @@ def evaluate(
         import multiprocessing
 
         size = math.ceil(len(corpus) / workers)
-        # Compiled once here, so forked workers inherit them.
-        lex._diacritic_pattern()
-        _compiled(lex, cfg)
+        # One text warms the raw path here, so forked workers inherit its
+        # compiled diacritic pattern and scorer.
+        _classify_text("", lex, cfg)
         children = []
         try:
             for start in range(size, len(corpus), size):

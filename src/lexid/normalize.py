@@ -6,19 +6,23 @@ are dropped whole; a chunk ends at whitespace or at U+FEFF, the
 byte-order mark that concatenated files can leave mid-text.  Leading
 ``#``/``@`` sigils are stripped, and every other non-letter character
 acts as a token separator: digits, punctuation, symbols, ``_`` and
-non-letter numerics such as ``²`` and ``½`` alike.  The result also carries character and
-token occurrence counts so scoring can look up term frequencies in
-constant time.  A :class:`NormalizedText` is a named tuple.
+non-letter numerics such as ``²`` and ``½`` alike.  The result also
+carries character and token occurrence counts so scoring can look up
+term frequencies in constant time.  A :class:`NormalizedText` is a
+named tuple.
 
 A URL chunk always contains ``://`` or ``www.``, so only a text holding
 one of them has its URL chunks removed, with one substitution; every text
-then goes through the same single letter-run ``findall``.
+then goes through the same single letter-run ``findall`` in
+:func:`_tokens`, the one definition of a token.
 
 ``lexid evaluate`` and ``lexid detect`` build no :class:`NormalizedText`:
-:func:`_term_counts` counts a text's tokens and only the lexicon's
-diacritics, one whitespace-cut chunk of about 64 Ki characters at a
-time, so its memory is bounded by one chunk plus the distinct terms.
-Only a text with no whitespace to cut at is held whole.
+:func:`_term_counts` runs :func:`_tokens` on one whitespace-cut chunk of
+about 64 Ki characters at a time, so its memory is bounded by one chunk
+plus the distinct terms; only a text with no whitespace to cut at is
+held whole.  It counts each chunk's tokens, and the lexicon's diacritics
+in their concatenation, which chunk after chunk is the string
+``normalize_text`` counts, so both paths count alike by construction.
 """
 
 from __future__ import annotations
@@ -55,29 +59,16 @@ class NormalizedText(namedtuple("NormalizedText", "tokens char_freq token_freq")
     __slots__ = ()
 
 
-def _lowered(raw: str) -> str:
-    """``raw`` lowercased and NFC-composed, with its URL chunks removed.
+def _tokens(raw: str) -> tuple[list[str], str]:
+    """The letter tokens of ``raw`` in order, and their concatenation.
 
-    These are steps 1-2 of :func:`normalize_text`, short of collecting
-    the letter runs.
+    These are steps 1-3 of :func:`normalize_text`; the lexicon loader
+    and :func:`_term_counts` take their tokens from here too.
     """
     lowered = unicodedata.normalize("NFC", raw.lower())
     if "://" in lowered or "www." in lowered:
         lowered = _URL_RE.sub("", lowered)
-    return lowered
-
-
-def _letter_parts(run: str):
-    """The letter tokens of a letter run that holds a non-letter numeric."""
-    return ("".join(part) for is_alpha, part in groupby(run, str.isalpha) if is_alpha)
-
-
-def _tokens(raw: str) -> tuple[list[str], str]:
-    """The letter tokens of ``raw`` in order, and their concatenation.
-
-    These are steps 1-3 of :func:`normalize_text`.
-    """
-    tokens = _LETTER_RUN_RE.findall(_lowered(raw))
+    tokens = _LETTER_RUN_RE.findall(lowered)
     joined = "".join(tokens)
     if joined.isalpha():
         return tokens, joined
@@ -87,7 +78,8 @@ def _tokens(raw: str) -> tuple[list[str], str]:
         if run.isalpha():
             letters.append(run)
         else:
-            letters.extend(_letter_parts(run))
+            parts = groupby(run, str.isalpha)
+            letters.extend("".join(part) for is_alpha, part in parts if is_alpha)
     return letters, "".join(letters)
 
 
@@ -132,27 +124,22 @@ def _chunks(raw: str):
 
 
 def _term_counts(raw: str, diacritics: re.Pattern) -> tuple[dict[str, int], dict[str, int]]:
-    """The token counts of ``raw``, and the counts of the letters ``diacritics`` matches.
+    """The counts of ``raw``'s tokens, and of the letters ``diacritics`` matches in them.
 
-    They equal the ``token_freq`` of ``normalize_text(raw)`` and its
-    ``char_freq`` at those letters, as plain dicts: every letter of the
-    lowered, URL-stripped text lies in some token, so ``diacritics``, a
-    class of letters, counts on that text directly.  Only one chunk of
-    the text is held in lowered form at a time.
+    They are ``normalize_text(raw).token_freq`` and its ``char_freq`` at
+    those letters, as plain dicts, by construction: the chunks' tokens
+    from :func:`_tokens`, in order, are the text's tokens, and their
+    concatenations, in order, are the string ``char_freq`` counts.  Only
+    one chunk of the text is held in normalized form at a time.
     """
     # ``_count_elements`` is the C loop ``Counter.update`` runs, without
     # the cost of building and updating ``Counter`` objects.
-    runs: dict[str, int] = {}
+    tokens: dict[str, int] = {}
     chars: dict[str, int] = {}
     for chunk in _chunks(raw) if len(raw) > _CHUNK else (raw,):
-        lowered = _lowered(chunk)
-        _count_elements(runs, _LETTER_RUN_RE.findall(lowered))
-        _count_elements(chars, diacritics.findall(lowered))
-    if "".join(runs).isalpha():
-        return runs, chars
-    # Some run holds a non-letter numeric: split just those runs on it.
-    tokens: dict[str, int] = {}
-    for run, count in runs.items():
-        for token in (run,) if run.isalpha() else _letter_parts(run):
-            tokens[token] = tokens.get(token, 0) + count
+        chunk_tokens, joined = _tokens(chunk)
+        _count_elements(tokens, chunk_tokens)
+        _count_elements(chars, diacritics.findall(joined))
+        # Free this chunk's tokens before the next chunk is tokenized.
+        del chunk_tokens, joined
     return tokens, chars

@@ -28,20 +28,23 @@ table (one weight per number of listing languages), ``p`` and the
 fallback once, and prebuilds the verdict of each language winning.  The
 lexicon keeps the scorer of the last config it scored with.  Its kernel
 adds each matched term into lists indexed by position and returns the
-scores as a list in lexicon order, which :func:`classify` picks its
-verdict on; it reads one map of token counts and one of character
-counts.  :func:`score_all` and :func:`classify` pass a
-:class:`~lexid.normalize.NormalizedText`'s two maps, and ``lexid
-evaluate`` and ``lexid detect`` pass the counts of a raw text's tokens
-and of the lexicon's diacritics, counted one chunk at a time
-(:func:`_classify_text`), which give the same scores bit for bit.
-:class:`ScoringConfig` and :class:`Verdict` are named tuples.
+scores as a list in lexicon order; it reads one map of token counts and
+one of character counts, and only at the lexicon's terms.
+
+:func:`classify` and :func:`_classify_text` compose the same two steps:
+the kernel's scores on a text's counts, then :func:`_verdict` on that
+list.  :func:`classify` and :func:`score_all` pass a
+:class:`~lexid.normalize.NormalizedText`'s two maps; :func:`_classify_text`,
+behind ``lexid evaluate`` and ``lexid detect``, passes a raw text's
+token and diacritic counts from :func:`~lexid.normalize._term_counts`,
+which equal those maps at every term by construction, so the verdict
+and scores are the same bit for bit.  :class:`ScoringConfig` and
+:class:`Verdict` are named tuples.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from collections import namedtuple
 
 from .lexicon import DIACRITIC, STOPWORD, LexiconError, LexiconSet
@@ -137,14 +140,12 @@ _NO_EVIDENCE_VERDICT = Verdict(None, NO_EVIDENCE)
 _TIE_VERDICT = Verdict(None, TIE)
 
 
-class _Scorer(namedtuple("_Scorer", "config verdicts scores classify_text")):
+class _Scorer(namedtuple("_Scorer", "config verdicts scores")):
     """One lexicon compiled under one config: every per-text constant bound once.
 
-    ``scores(token_freq, char_freq)`` is the kernel, the counts entry
-    behind :func:`score_all` and :func:`classify`;
-    ``classify_text(raw, diacritics)`` is the raw-text entry behind
-    :func:`_classify_text`.  ``verdicts`` holds one :class:`Verdict` per
-    language position.
+    ``scores(token_freq, char_freq)`` is the kernel behind
+    :func:`score_all`, :func:`classify` and :func:`_classify_text`.
+    ``verdicts`` holds one :class:`Verdict` per language position.
     """
 
     __slots__ = ()
@@ -197,11 +198,7 @@ def _compile(lex: LexiconSet, cfg: ScoringConfig) -> _Scorer:
         p, q = mix if matched else no_diacritic_mix
         return [p * s + q * d for s, d in zip(stop, dia)]
 
-    def classify_text(raw: str, diacritics: re.Pattern) -> tuple[Verdict, list[float]]:
-        values = scores(*_term_counts(raw, diacritics))
-        return _verdict(values, verdicts), values
-
-    return _Scorer(cfg, verdicts, scores, classify_text)
+    return _Scorer(cfg, verdicts, scores)
 
 
 def _compiled(lex: LexiconSet, cfg: ScoringConfig) -> _Scorer:
@@ -242,9 +239,9 @@ def _classify_text(raw: str, lex: LexiconSet, cfg: ScoringConfig) -> tuple[Verdi
     token counts and the lexicon's diacritics are counted, one chunk of
     ``raw`` at a time.
     """
-    # The pattern is an argument, not a closure variable: a scorer holding
-    # ``lex`` would keep it alive in a reference cycle until garbage collection.
-    return _compiled(lex, cfg).classify_text(raw, lex._diacritic_pattern())
+    scorer = _compiled(lex, cfg)
+    values = scorer.scores(*_term_counts(raw, lex._diacritic_pattern()))
+    return _verdict(values, scorer.verdicts), values
 
 
 def _verdict(values: list[float], verdicts: tuple[Verdict, ...]) -> Verdict:

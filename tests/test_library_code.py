@@ -3,9 +3,10 @@
 Library code reports a failed check with an exception, never with
 ``assert``; only the module that builds the lexicon index and the one
 that scores on it read that index, and the scoring module reads it, its
-mode tables and the config's fields only where it compiles a scorer; and
-the CLI and the evaluation both classify raw text through the one path
-that counts it chunk by chunk.
+mode tables and the config's fields only where it compiles a scorer;
+only the tokenizer finds letter runs; and the CLI and the evaluation
+both classify raw text through the one path that counts it chunk by
+chunk, which compiles what it needs itself.
 """
 
 import ast
@@ -84,3 +85,43 @@ def test_cli_and_evaluation_classify_raw_text():
                 names.update(alias.name for alias in node.names)
         assert "normalize_text" not in names, name
         assert "_classify_text" in names, name
+
+
+def test_only_the_tokenizer_finds_letter_runs():
+    """``normalize._tokens`` is the one definition of a token.
+
+    Only its body reads the letter-run pattern or splits runs with
+    ``groupby``; the raw-text counter and ``normalize_text`` call it.
+    """
+    path = next(path for path in SOURCES if path.name == "normalize.py")
+    readers = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and (
+                child.id == "_LETTER_RUN_RE"
+                or (child.id == "groupby" and isinstance(node, ast.Call) and node.func is child)
+            ):
+                readers.append((function, child.id))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text("utf-8"), str(path)), None)
+    assert sorted(readers) == [("_tokens", "_LETTER_RUN_RE"), ("_tokens", "groupby")]
+
+
+def test_cli_and_evaluation_leave_compiling_to_the_raw_path():
+    """``_classify_text`` compiles what it needs; its callers name no compiler."""
+    for name in ("cli.py", "evaluation.py"):
+        path = next(path for path in SOURCES if path.name == name)
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+        assert named.isdisjoint({"_compiled", "_diacritic_pattern"}), name

@@ -29,7 +29,7 @@ from lexid import (
 )
 from lexid import normalize
 from lexid.cli import main
-from lexid.normalize import _CHUNK, _chunks
+from lexid.normalize import _CHUNK, _chunks, _term_counts
 from lexid.scoring import _classify_text
 from test_evaluation import fork_with_failures, make_corpus
 from test_normalize import ROMANCE_LETTERS, TRICKY_PIECES, tricky_text, url_marker_text
@@ -121,6 +121,23 @@ class TestHypothesis:
             assert not any(ch.isspace() for ch in chunk[size:-1])
 
 
+class TestTermCounts:
+    """The raw path counts what ``normalize_text`` counts, not only what scores alike."""
+
+    @given(st.one_of(term_text, tricky_text, url_marker_text, st.text(max_size=100)),
+           st.integers(0, 8))
+    def test_counts_equal_normalize_text(self, raw, size):
+        nt = normalize_text(raw)
+        for lex in LEXICONS.values():
+            expected = (
+                nt.token_freq,
+                {ch: n for ch, n in nt.char_freq.items() if ch in lex.all_diacritics},
+            )
+            with chunk_size(size):
+                for text in (raw, raw + "\n"):
+                    assert _term_counts(text, lex._diacritic_pattern()) == expected, text[:80]
+
+
 def test_golden_texts():
     for text in GOLDEN_TEXTS:
         assert_same(text)
@@ -197,7 +214,11 @@ def test_memory_is_bounded_by_one_chunk():
 
 def test_detect_scores_bytes_on_golden_texts(tmp_path):
     path = tmp_path / "golden.txt"
-    path.write_text("".join(f"{text}\n" for text in GOLDEN_TEXTS), encoding="utf-8")
+    # Extra lines end in a final sigma, a URL, a numeric and a \r; ``detect``
+    # keeps each line's trailing \n, which must change none of their counts.
+    extra = ["la casa ΑΣ", "el niño http://casa.example/é", "la é x²", "le café\r"]
+    texts = [*GOLDEN_TEXTS, *extra]
+    path.write_text("".join(f"{text}\n" for text in texts), encoding="utf-8")
     for name, cfg in PRESETS.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -205,7 +226,7 @@ def test_detect_scores_bytes_on_golden_texts(tmp_path):
                          "--scores", "--file", str(path)])
         assert code == 0
         expected = []
-        for text in GOLDEN_TEXTS:
+        for text in texts:
             verdict, scores = classify(normalize_text(text), DEMO_LEX, cfg)
             record = {"language": verdict.language or "und", "reason": verdict.reason,
                       "scores": scores}
