@@ -8,10 +8,11 @@ not UTF-8 text included), 4 corpus rejected for too many malformed
 lines.  ``detect --stdin`` and ``detect --file`` classify one text per
 line, decoded as UTF-8 whatever the interpreter's stdio encoding; a
 byte-order mark at the start of the input is dropped, and lines end only
-at ``\\n``, so a lone ``\\r`` stays inside its line.
-A reader that closes stdout early, as in
-``lexid detect --stdin | head -1``, ends the run quietly with exit 0;
-a command started with the stdin or stdout it needs closed exits 2.
+at ``\\n``, so a lone ``\\r`` stays inside its line.  Every command
+writes stdout as UTF-8 whatever the locale.  A reader that closes stdout
+early, as in ``lexid detect --stdin | head -1``, ends the run quietly
+with exit 0; a command started with the stdin or stdout it needs closed
+exits 2.
 Results go to stdout, logs and summaries to stderr.  ``--lexicon``
 defaults to the ``LID_LEXICON`` environment variable.  The evaluation
 code is imported only by ``evaluate``, and :mod:`json` only by
@@ -293,6 +294,9 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
+    # Input bytes that did not decode, as in a lexicon path, go out unchanged.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

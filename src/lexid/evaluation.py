@@ -6,10 +6,10 @@ Those counts are the report's only stored outcome: per-language
 accuracy, unclassified and misclassified rates and overall accuracy are
 all derived from them.  Classification of the documents is
 embarrassingly parallel: at most ``parallelism`` processes, this one
-included, each classify one contiguous slice of the corpus, and each
-slice yields a count per ``(gold, predicted, reason)``.  The counts
-are summed, and integer sums do not depend on their order, so any
-``parallelism`` value produces a report byte-identical to the
+included, are each handed one contiguous slice of the corpus and only
+that, and each slice yields a count per ``(gold, predicted, reason)``.
+The counts are summed, and integer sums do not depend on their order,
+so any ``parallelism`` value produces a report byte-identical to the
 sequential one.  Each document is classified from its raw text through
 the path ``lexid detect`` uses, which holds one chunk of a long text at
 a time, so the corpus itself is the bulk of the memory.  The records
@@ -187,12 +187,10 @@ def _parse_jsonl(line: str) -> tuple[str, str]:
     return obj["label"], obj["text"]
 
 
-def _tally(
-    golds: list[str], texts: list[str], lex: LexiconSet, cfg: ScoringConfig, start: int, stop: int
-) -> Counter:
-    """Count ``(gold, predicted, reason)`` over documents ``start:stop``."""
+def _tally(documents: list[LabeledDocument], lex: LexiconSet, cfg: ScoringConfig) -> Counter:
+    """Count ``(gold, predicted, reason)`` over ``documents``."""
     tally = Counter()
-    for gold, text in zip(golds[start:stop], texts[start:stop]):
+    for gold, text, _ in documents:
         verdict, _ = _classify_text(text, lex, cfg)
         tally[gold, verdict.language or UNCLASSIFIED, verdict.reason] += 1
     return tally
@@ -220,44 +218,38 @@ def evaluate(
     bucket; the per-reason split is kept separately in the report.
     ``parallelism`` workers, capped at the CPU count, each classify one
     contiguous slice of the corpus into ``(gold, predicted, reason)``
-    counts, which this process sums.  One worker runs in this process
-    and classifies the first slice; each other one is a process that
-    receives the corpus, ``lex`` and ``cfg`` once when it starts (a
-    forked worker inherits them; otherwise they are pickled once per
-    worker).  A worker's exception is raised here with its own type, a
-    worker that exits without sending its counts raises
-    :class:`RuntimeError`, and no worker outlives the call.
+    counts, which this process sums.  This process classifies the first
+    slice; each other slice goes to a process that receives only it,
+    ``lex`` and ``cfg`` (inherited if forked, else pickled).  A worker's
+    exception is raised here with its own type, a worker that exits
+    without sending its counts raises :class:`RuntimeError`, and no
+    worker outlives the call.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    golds = [doc.gold for doc in corpus]
-    texts = [doc.text for doc in corpus]
-    present = set(golds)
+    present = {doc.gold for doc in corpus}
     unknown = present - set(lex.codes)
     if unknown:
         raise ValueError(f"gold labels not in lexicon: {', '.join(sorted(unknown))}")
 
     workers = min(parallelism, os.cpu_count() or 1, len(corpus))
     if workers < 2:
-        tally = _tally(golds, texts, lex, cfg, 0, len(corpus))
+        tally = _tally(corpus, lex, cfg)
     else:
         import multiprocessing
 
         size = math.ceil(len(corpus) / workers)
-        # One text warms the raw path here, so forked workers inherit its
-        # compiled diacritic pattern and scorer.
-        _classify_text("", lex, cfg)
         children = []
         try:
             for start in range(size, len(corpus), size):
                 receiver, sender = multiprocessing.Pipe(duplex=False)
                 child = multiprocessing.Process(
-                    target=_tally_to, args=(sender, golds, texts, lex, cfg, start, start + size)
+                    target=_tally_to, args=(sender, corpus[start : start + size], lex, cfg)
                 )
                 child.start()
                 sender.close()
                 children.append((child, receiver))
-            tally = _tally(golds, texts, lex, cfg, 0, size)
+            tally = _tally(corpus[:size], lex, cfg)
             for child, receiver in children:
                 try:
                     result = receiver.recv()

@@ -176,6 +176,17 @@ class TestDetect:
         assert (by_file.returncode, by_stdin.returncode) == (0, 0)
         assert by_file.stdout == by_stdin.stdout == b"es\n"
 
+    def test_non_ascii_code_on_an_ascii_stdout(self, tmp_path):
+        root = tmp_path / "lex"
+        write_lexicon_dir(root, {"a": (["le"], ["é"]), "ελ": (["το"], ["ά"])})
+        done = subprocess.run(
+            [sys.executable, "-m", "lexid.cli", "detect", "--lexicon", str(root),
+             "--preset", "test9", "το σπίτι"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "ascii"},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "ελ\n".encode(), b"")
+
     @given(
         st.lists(
             st.one_of(st.text(max_size=8), st.sampled_from(["le ", " și", "é", "ñ", " de ", "-"])),
@@ -712,6 +723,15 @@ class TestDict:
         assert len(lines) == 5
         assert "fr\tàâæçèéêëîïôœùûü" in lines
         assert "ro\tăâîșşțţ" in lines
+
+    def test_show_builtin_diacritics_on_an_ascii_stdout(self, capsys):
+        code, out, _ = run(capsys, ["dict", "show-builtin-diacritics"])
+        done = subprocess.run(
+            [sys.executable, "-m", "lexid.cli", "dict", "show-builtin-diacritics"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "ascii"},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, out.encode(), b"")
 
 
 class TestPresetsCommand:

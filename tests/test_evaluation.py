@@ -1,6 +1,7 @@
 import contextlib
 import json
 import logging
+import math
 import multiprocessing
 import os
 import re
@@ -215,12 +216,13 @@ def fork_with_failures(monkeypatch, workers=None, own=None):
     monkeypatch.setattr("multiprocessing.Process", multiprocessing.get_context("fork").Process)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     tally = lexid.evaluation._tally
+    parent = os.getpid()
 
-    def failing(golds, texts, lex, cfg, start, stop):
-        action = own if start == 0 else workers
+    def failing(documents, lex, cfg):
+        action = own if os.getpid() == parent else workers
         if action is not None:
             action()
-        return tally(golds, texts, lex, cfg, start, stop)
+        return tally(documents, lex, cfg)
 
     monkeypatch.setattr(lexid.evaluation, "_tally", failing)
 
@@ -315,24 +317,31 @@ class TestEvaluate:
             assert emit_report(sequential, fmt) == emit_report(parallel, fmt)
         assert multiprocessing.active_children() == []
 
-    def test_spawned_workers_equal_sequential(self, demo_lex, monkeypatch):
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_spawned_workers_equal_sequential(self, demo_lex, monkeypatch, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
         corpus, _ = synth_corpus(demo_lex, 20)
         cfg = preset_config("test9")
         sequential = evaluate(corpus, demo_lex, cfg, parallelism=1)
-        spawn = multiprocessing.get_context("spawn")
+        context = multiprocessing.get_context(method)
         spawned = []
 
         def spawn_process(**kwargs):
-            spawned.append(spawn.Process(**kwargs))
-            return spawned[-1]
+            spawned.append((context.Process(**kwargs), kwargs["args"]))
+            return spawned[-1][0]
 
         monkeypatch.setattr("multiprocessing.Process", spawn_process)
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         parallel = evaluate(corpus, demo_lex, cfg, parallelism=2)
         for fmt in ("table", "csv", "json"):
             assert emit_report(sequential, fmt) == emit_report(parallel, fmt)
-        # The one worker really was a spawned process, and it finished.
-        assert [(type(child), child.exitcode) for child in spawned] == [(spawn.Process, 0)]
+        # The one worker really was started by ``method``, and it finished.
+        assert [(type(child), child.exitcode) for child, _ in spawned] == [(context.Process, 0)]
+        # It was sent its own slice of the corpus, not the whole of it.
+        for _, args in spawned:
+            documents = sum(len(arg) for arg in args if isinstance(arg, list))
+            assert 0 < documents <= math.ceil(len(corpus) / 2)
         assert multiprocessing.active_children() == []
 
     def test_worker_exception_keeps_its_type(self, ab_lex, monkeypatch):
@@ -365,8 +374,8 @@ class TestEvaluate:
 
         tally = lexid.evaluation._tally
 
-        def drop_first(golds, texts, lex, cfg, start, stop):
-            return tally(golds, texts, lex, cfg, start + 1, stop)
+        def drop_first(documents, lex, cfg):
+            return tally(documents[1:], lex, cfg)
 
         monkeypatch.setattr(lexid.evaluation, "_tally", drop_first)
         corpus = make_corpus([("a", "le"), ("b", "el")])

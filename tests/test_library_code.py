@@ -4,9 +4,10 @@ Library code reports a failed check with an exception, never with
 ``assert``; only the module that builds the lexicon index and the one
 that scores on it read that index, and the scoring module reads it, its
 mode tables and the config's fields only where it compiles a scorer;
-only the tokenizer finds letter runs; and the CLI and the evaluation
-both classify raw text through the one path that counts it chunk by
-chunk, which compiles what it needs itself.
+only the tokenizer finds letter runs; the CLI and the evaluation both
+classify raw text through the one path that counts it chunk by chunk,
+which compiles what it needs itself; and the evaluation calls that path
+only where it counts the documents it is handed.
 """
 
 import ast
@@ -125,3 +126,25 @@ def test_cli_and_evaluation_leave_compiling_to_the_raw_path():
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
         assert named.isdisjoint({"_compiled", "_diacritic_pattern"}), name
+
+
+def test_evaluation_classifies_only_in_its_tally():
+    """Each process classifies the documents it is handed, and nothing else."""
+    path = next(path for path in SOURCES if path.name == "evaluation.py")
+    callers = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "_classify_text"
+            ):
+                callers.append(function)
+            visit(child, function)
+
+    visit(ast.parse(path.read_text("utf-8"), str(path)), None)
+    assert callers == ["_tally"]

@@ -9,7 +9,6 @@ preset: on hypothesis text, on the golden texts and at chunk boundaries.
 import contextlib
 import io
 import json
-import os
 import tracemalloc
 from unittest import mock
 
@@ -23,7 +22,6 @@ from lexid import (
     augment_with_stripped_variants,
     classify,
     demo_lexicon_dir,
-    evaluate,
     load_lexicon,
     normalize_text,
 )
@@ -31,7 +29,6 @@ from lexid import normalize
 from lexid.cli import main
 from lexid.normalize import _CHUNK, _chunks, _term_counts
 from lexid.scoring import _classify_text
-from test_evaluation import fork_with_failures, make_corpus
 from test_normalize import ROMANCE_LETTERS, TRICKY_PIECES, tricky_text, url_marker_text
 from test_scores_golden import TEXTS as GOLDEN_TEXTS
 
@@ -202,14 +199,20 @@ def test_whitespace_only_in_the_first_chunks():
 
 
 def test_memory_is_bounded_by_one_chunk():
-    raw = "la casa " * 100_000  # 800 kB, 200,000 tokens
-    tracemalloc.start()
-    try:
-        _classify_text(raw, EDGE_LEX, PRESETS["test9"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20
+    def peak(raw):
+        tracemalloc.start()
+        try:
+            _classify_text(raw, EDGE_LEX, PRESETS["test9"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_chunk = "la casa " * (_CHUNK // 8)
+    assert len(list(_chunks(one_chunk))) == 1
+    peak(one_chunk)  # compile the pattern and the scorer before measuring
+    raw = "la casa " * 100_000  # 800 kB, 200,000 tokens, 13 chunks
+    # A second chunk's tokens held while the next is tokenized would double it.
+    assert peak(raw) < 1.5 * peak(one_chunk)
 
 
 def test_detect_scores_bytes_on_golden_texts(tmp_path):
@@ -243,24 +246,3 @@ def test_classify_leaves_the_diacritic_pattern_unbuilt():
     for text in GOLDEN_TEXTS:
         classify(normalize_text(text), lex, PRESETS["test9"])
     assert lex._diacritic_re is None
-
-
-def test_forked_workers_inherit_the_diacritic_pattern(monkeypatch):
-    lex = load_lexicon(demo_lexicon_dir())
-    # A worker that would have to compile the pattern itself exits without counts.
-    fork_with_failures(monkeypatch, workers=lambda: lex._diacritic_re is None and os._exit(1))
-    corpus = make_corpus([("fr", "le café"), ("es", "el niño"), ("it", "la città")])
-    report = evaluate(corpus, lex, PRESETS["test9"], parallelism=2)
-    assert report.total_documents == 3
-
-
-def test_forked_workers_inherit_the_compiled_scorer(monkeypatch):
-    lex = load_lexicon(demo_lexicon_dir())
-    cfg = PRESETS["test9"]
-    # A worker that would have to compile the scorer itself exits without counts.
-    fork_with_failures(
-        monkeypatch, workers=lambda: (lex._scorer is None or lex._scorer.config != cfg) and os._exit(1)
-    )
-    corpus = make_corpus([("fr", "le café"), ("es", "el niño"), ("it", "la città")])
-    report = evaluate(corpus, lex, cfg, parallelism=2)
-    assert report.total_documents == 3
