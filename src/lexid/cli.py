@@ -307,7 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Send the output still buffered to devnull, so the flush at
         # interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
     except UsageError as exc:
         print(exc, file=sys.stderr)

@@ -31,6 +31,7 @@ import re
 import unicodedata
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 
@@ -104,12 +105,11 @@ class LexiconSet:
     of texts no language won.  The private ``_index`` maps each term of a namespace
     to the ascending positions, in :attr:`codes`, of the languages
     listing it; it is the only cross-language view.
-    Immutable after construction, save three things stored on first
-    use: the digest :meth:`fingerprint`, the diacritic pattern the
-    raw-text path compiles, and the scorer :mod:`lexid.scoring` compiles
-    for the last config it scored with (one slot, replaced when the
-    config changes).  The scorer is left out of a pickled copy.  Safe to
-    share between any number of concurrent scorers.
+    Immutable after construction, save what is stored on first use: the
+    digest :meth:`fingerprint`, the diacritic pattern the raw-text path
+    compiles, and one compiled function per config it has scored with,
+    about 1.5 KB each, which :mod:`lexid.scoring` fills; a pickled copy
+    holds none.  Safe to share between any number of concurrent scorers.
     """
 
     def __init__(self, languages: Mapping[str, LanguageLexicon]):
@@ -146,8 +146,7 @@ class LexiconSet:
         self._index = index
         self._all_diacritics = frozenset(index[DIACRITIC])
         self._fingerprint: str | None = None
-        self._diacritic_re: re.Pattern | None = None
-        self._scorer = None  # set by lexid.scoring._compiled
+        self._scorers: dict = {}  # config -> compiled function; filled by lexid.scoring._compiled
 
     @property
     def languages(self) -> Mapping[str, LanguageLexicon]:
@@ -182,20 +181,21 @@ class LexiconSet:
             self._fingerprint = digest.hexdigest()[:16]
         return self._fingerprint
 
-    def _diacritic_pattern(self) -> re.Pattern:
+    @cached_property
+    def _diacritic_re(self) -> re.Pattern:
         """A pattern matching any one diacritic of any language, compiled on first use.
 
-        Compiling it costs more than loading a small lexicon, so only
-        the raw-text path that counts with it builds it.
+        Only the raw-text path counts with it.  :func:`~lexid.scoring.classify`
+        never builds it, so a program that loads a lexicon and classifies
+        one normalized text, as ``bench/run.py`` times in ``setup_s``,
+        does not pay for it.
         """
-        if self._diacritic_re is None:
-            letters = "".join(map(re.escape, sorted(self._all_diacritics)))
-            self._diacritic_re = re.compile(f"[{letters}]" if letters else "(?!)")
-        return self._diacritic_re
+        letters = "".join(map(re.escape, sorted(self._all_diacritics)))
+        return re.compile(f"[{letters}]" if letters else "(?!)")
 
     def __getstate__(self) -> dict:
-        # A scorer holds closures, which cannot be pickled; a copy compiles its own.
-        return {**self.__dict__, "_scorer": None}
+        # Compiled functions are closures, which cannot be pickled; a copy compiles its own.
+        return {**self.__dict__, "_scorers": {}}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LexiconSet):

@@ -22,18 +22,20 @@ the same scale; it fires when the kernel matches no diacritic term.
 Scoring visits only the dictionary terms the text contains: its cost is
 proportional to the text's distinct tokens and characters and does not
 depend on dictionary size.  The lexicon maps each term to the positions
-of the languages listing it.  A scorer is compiled once per lexicon and
-config: it looks up the index, the term-frequency function, the weight
-table (one weight per number of listing languages), ``p`` and the
-fallback once, and prebuilds the verdict of each language winning.  The
-lexicon keeps the scorer of the last config it scored with.  Its kernel
-adds each matched term into lists indexed by position and returns the
-scores as a list in lexicon order; it reads one map of token counts and
-one of character counts, and only at the lexicon's terms.
+of the languages listing it.  Each (lexicon, config) pair is compiled
+once into one function: it looks up the index, the term-frequency
+function, the weight table (one weight per number of listing
+languages), ``p`` and the fallback once, and prebuilds the verdict of
+each language winning.  The lexicon keeps one compiled function per
+config it has scored with, about 1.5 KB each; a pickled copy holds
+none.  The function adds each matched term into lists indexed by
+position, reading one map of token counts and one of character counts
+and only at the lexicon's terms, then picks the verdict with
+:func:`_verdict` and returns it with the scores as a list in lexicon
+order.
 
-:func:`classify` and :func:`_classify_text` compose the same two steps:
-the kernel's scores on a text's counts, then :func:`_verdict` on that
-list.  :func:`classify` and :func:`score_all` pass a
+:func:`classify`, :func:`score_all` and :func:`_classify_text` each
+call that one function.  :func:`classify` and :func:`score_all` pass a
 :class:`~lexid.normalize.NormalizedText`'s two maps; :func:`_classify_text`,
 behind ``lexid evaluate`` and ``lexid detect``, passes a raw text's
 token and diacritic counts from :func:`~lexid.normalize._term_counts`,
@@ -79,19 +81,30 @@ class ScoringConfig(namedtuple("ScoringConfig", "p tf_mode weight_mode stopword_
     ``p`` weighs stop-word evidence; diacritics get ``1 - p``.  With
     ``stopword_fallback`` on, a text containing no known diacritic is
     scored with an effective ``p`` of 1.  Every way of making one,
-    ``_replace``, ``_make`` and unpickling included, checks the values.
+    ``_replace``, ``_make`` and unpickling included, checks the values
+    and stores ``p`` as a ``float`` and ``stopword_fallback`` as a
+    ``bool``, so equal configs echo alike in every report.
     """
 
     __slots__ = ()
 
     def __new__(cls, p, tf_mode="raw", weight_mode="unit", stopword_fallback=False):
-        if not 0.0 <= p <= 1.0:
+        # A str or bytes has no __float__, though float() parses it; nor has a complex.
+        if not hasattr(type(p), "__float__"):
+            raise ValueError(f"p must be a real number, got {p!r}")
+        try:
+            real = float(p) + 0.0  # -0.0 becomes the 0.0 it equals
+        except (OverflowError, ValueError):  # an int too large for a float, a signaling NaN
+            real = math.nan
+        if not 0.0 <= real <= 1.0:
             raise ValueError(f"p must be within [0, 1], got {p}")
         if tf_mode not in TF_MODES:
             raise ValueError(f"tf_mode must be one of {TF_MODES}, got {tf_mode!r}")
         if weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}, got {weight_mode!r}")
-        return super().__new__(cls, p, tf_mode, weight_mode, stopword_fallback)
+        if stopword_fallback not in (False, True):  # 0 and 1 compare equal to these
+            raise ValueError(f"stopword_fallback must be True or False, got {stopword_fallback!r}")
+        return super().__new__(cls, real, tf_mode, weight_mode, bool(stopword_fallback))
 
     @classmethod
     def _make(cls, iterable):
@@ -140,22 +153,13 @@ _NO_EVIDENCE_VERDICT = Verdict(None, NO_EVIDENCE)
 _TIE_VERDICT = Verdict(None, TIE)
 
 
-class _Scorer(namedtuple("_Scorer", "config verdicts scores")):
-    """One lexicon compiled under one config: every per-text constant bound once.
+def _compile(lex: LexiconSet, cfg: ScoringConfig):
+    """``lex`` under ``cfg`` as one function ``(token_freq, char_freq) -> (verdict, scores)``.
 
-    ``scores(token_freq, char_freq)`` is the kernel behind
-    :func:`score_all`, :func:`classify` and :func:`_classify_text`.
-    ``verdicts`` holds one :class:`Verdict` per language position.
-    """
-
-    __slots__ = ()
-
-
-def _compile(lex: LexiconSet, cfg: ScoringConfig) -> _Scorer:
-    """Look up everything ``cfg`` selects and ``lex`` indexes, once, for every text.
-
-    Only this function reads ``_index``, ``_TF``, ``_WEIGHT`` or a field
-    of ``cfg``: the closures it returns branch on no mode.
+    Everything ``cfg`` selects and ``lex`` indexes is looked up here,
+    once, for every text.  Only this function reads ``_index``, ``_TF``,
+    ``_WEIGHT`` or a field of ``cfg``: the closure it returns branches
+    on no mode.
     """
     n_languages = lex.n_languages
     if n_languages < 2:
@@ -174,8 +178,8 @@ def _compile(lex: LexiconSet, cfg: ScoringConfig) -> _Scorer:
     zeros = [0.0] * n_languages
     verdicts = tuple(map(Verdict, lex.codes))
 
-    def scores(token_freq: dict, char_freq: dict) -> list[float]:
-        """Every language's score, in lexicon order, with a shared effective p.
+    def verdict_scores(token_freq: dict, char_freq: dict) -> tuple[Verdict, list[float]]:
+        """The verdict and every language's score, in lexicon order, with a shared effective p.
 
         ``token_freq`` counts a text's tokens and ``char_freq`` at least
         its diacritics; a key that is no term of the lexicon is never read.
@@ -196,26 +200,27 @@ def _compile(lex: LexiconSet, cfg: ScoringConfig) -> _Scorer:
             for i in positions:
                 dia[i] += value
         p, q = mix if matched else no_diacritic_mix
-        return [p * s + q * d for s, d in zip(stop, dia)]
+        values = [p * s + q * d for s, d in zip(stop, dia)]
+        return _verdict(values, verdicts), values
 
-    return _Scorer(cfg, verdicts, scores)
+    return verdict_scores
 
 
-def _compiled(lex: LexiconSet, cfg: ScoringConfig) -> _Scorer:
-    """The scorer of ``lex`` under ``cfg``, compiled on first use.
+def _compiled(lex: LexiconSet, cfg: ScoringConfig):
+    """The compiled function of ``lex`` under ``cfg``, compiled on first use.
 
-    ``lex`` keeps the last config's scorer only, and reuses it for any
-    config equal to that one.
+    ``lex`` keeps one compiled function per config it has scored with,
+    about 1.5 KB each; a pickled copy holds none.
     """
-    scorer = lex._scorer
-    if scorer is None or (scorer.config is not cfg and scorer.config != cfg):
-        scorer = lex._scorer = _compile(lex, cfg)
+    scorer = lex._scorers.get(cfg)
+    if scorer is None:
+        scorer = lex._scorers[cfg] = _compile(lex, cfg)
     return scorer
 
 
 def score_all(nt: NormalizedText, lex: LexiconSet, cfg: ScoringConfig) -> dict[str, float]:
     """Score every language, in lexicon order, with a shared effective p."""
-    return dict(zip(lex.codes, _compiled(lex, cfg).scores(nt.token_freq, nt.char_freq)))
+    return dict(zip(lex.codes, _compiled(lex, cfg)(nt.token_freq, nt.char_freq)[1]))
 
 
 def classify(
@@ -227,9 +232,8 @@ def classify(
     two or more languages (within ``TIE_REL_TOL`` relative) yields
     ``tie``.
     """
-    scorer = _compiled(lex, cfg)
-    values = scorer.scores(nt.token_freq, nt.char_freq)
-    return _verdict(values, scorer.verdicts), dict(zip(lex.codes, values))
+    verdict, values = _compiled(lex, cfg)(nt.token_freq, nt.char_freq)
+    return verdict, dict(zip(lex.codes, values))
 
 
 def _classify_text(raw: str, lex: LexiconSet, cfg: ScoringConfig) -> tuple[Verdict, list[float]]:
@@ -239,9 +243,7 @@ def _classify_text(raw: str, lex: LexiconSet, cfg: ScoringConfig) -> tuple[Verdi
     token counts and the lexicon's diacritics are counted, one chunk of
     ``raw`` at a time.
     """
-    scorer = _compiled(lex, cfg)
-    values = scorer.scores(*_term_counts(raw, lex._diacritic_pattern()))
-    return _verdict(values, scorer.verdicts), values
+    return _compiled(lex, cfg)(*_term_counts(raw, lex._diacritic_re))
 
 
 def _verdict(values: list[float], verdicts: tuple[Verdict, ...]) -> Verdict:

@@ -812,3 +812,17 @@ class TestClosedStreams:
         monkeypatch.setattr(sys, "stdin", None)
         code, out, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test9", "le"])
         assert (code, out) == (0, "a\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_broken_pipe_leaks_no_descriptor(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = io.TextIOWrapper(io.FileIO(write_end, "w"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["presets"]) == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        stdout.close()

@@ -2,7 +2,8 @@
 
 Library code reports a failed check with an exception, never with
 ``assert``; only the module that builds the lexicon index and the one
-that scores on it read that index, and the scoring module reads it, its
+that scores on it read that index or the compiled functions the lexicon
+keeps, and the scoring module reads the index, its
 mode tables and the config's fields only where it compiles a scorer;
 only the tokenizer finds letter runs; the CLI and the evaluation both
 classify raw text through the one path that counts it chunk by chunk,
@@ -31,13 +32,14 @@ def test_library_has_no_assert_statement():
 
 
 def test_only_lexicon_and_scoring_read_the_index():
-    readers = {
-        path.name
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "_index"
-    }
-    assert readers == {"lexicon.py", "scoring.py"}
+    for attr in ("_index", "_scorers"):
+        readers = {
+            path.name
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == attr
+        }
+        assert readers == {"lexicon.py", "scoring.py"}, attr
 
 
 def test_only_the_compiler_reads_modes_and_the_index():
@@ -125,7 +127,7 @@ def test_cli_and_evaluation_leave_compiling_to_the_raw_path():
                 named.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
-        assert named.isdisjoint({"_compiled", "_diacritic_pattern"}), name
+        assert named.isdisjoint({"_compiled", "_diacritic_re"}), name
 
 
 def test_evaluation_classifies_only_in_its_tally():

@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +17,8 @@ from lexid import (
     ScoringConfig,
     Verdict,
     demo_lexicon_dir,
+    classify,
+    emit_report,
     evaluate,
     load_lexicon,
     normalize_text,
@@ -130,3 +134,56 @@ class TestScoringConfigChecks:
         cfg = ScoringConfig._make((0.25, "log", "ratio", True))
         assert cfg == ScoringConfig(0.25, "log", "ratio", True)
         assert cfg._replace(p=1.0).p == 1.0
+
+    @pytest.mark.parametrize("p", [0, 1, True, Fraction(1, 3), Decimal("0.5"), 0.25])
+    def test_p_is_stored_as_a_float(self, p):
+        made = [
+            ScoringConfig(p),
+            preset_config("test9")._replace(p=p),
+            ScoringConfig._make((p, "raw", "unit", False)),
+            pickle.loads(pickle.dumps(tuple.__new__(ScoringConfig, (p, "raw", "unit", False)))),
+        ]
+        for cfg in made:
+            assert type(cfg.p) is float
+            assert cfg.p == float(p)
+
+    @pytest.mark.parametrize("p", ["0.5", b"0.5", 0.5j, None, [0.5]])
+    def test_p_must_be_a_real_number(self, p):
+        with pytest.raises(ValueError, match="p must be a real number"):
+            ScoringConfig(p)
+        with pytest.raises(ValueError, match="p must be a real number"):
+            preset_config("test9")._replace(p=p)
+
+    @pytest.mark.parametrize(
+        "p", [float("nan"), Decimal("NaN"), Decimal("sNaN"), 10**400, Fraction(10**400, 3), -1]
+    )
+    def test_p_out_of_range(self, p):
+        with pytest.raises(ValueError, match="p must be within"):
+            ScoringConfig(p)
+
+    @pytest.mark.parametrize("fallback", [False, True, 0, 1])
+    def test_fallback_is_stored_as_a_bool(self, fallback):
+        for cfg in (ScoringConfig(0.5, stopword_fallback=fallback),
+                    preset_config("test1")._replace(stopword_fallback=fallback)):
+            assert cfg.stopword_fallback is bool(fallback)
+
+    @pytest.mark.parametrize("fallback", ["no", "", None, 2, [True]])
+    def test_fallback_must_be_a_bool(self, fallback):
+        with pytest.raises(ValueError, match="stopword_fallback must be True or False"):
+            ScoringConfig(0.5, stopword_fallback=fallback)
+        with pytest.raises(ValueError, match="stopword_fallback must be True or False"):
+            preset_config("test9")._replace(stopword_fallback=fallback)
+
+    def test_equal_configs_score_and_report_alike(self):
+        lex = load_lexicon(demo_lexicon_dir())
+        corpus = [LabeledDocument("fr", "le café est déjà froid", 0),
+                  LabeledDocument("es", "el niño y la casa", 1)]
+        nt = normalize_text("le café est déjà froid")
+        for p, exact in ((Fraction(1, 3), 1 / 3), (Decimal("0.5"), 0.5), (1, 1.0), (0, 0.0), (-0.0, 0.0)):
+            cfg = ScoringConfig(p, "log", "ratio", 1)
+            expected = ScoringConfig(exact, "log", "ratio", True)
+            assert cfg == expected
+            assert classify(nt, lex, cfg) == classify(nt, lex, expected)
+            for fmt in ("table", "csv", "json"):
+                got = emit_report(evaluate(corpus, lex, cfg), fmt)
+                assert got == emit_report(evaluate(corpus, lex, expected), fmt), (p, fmt)

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -26,6 +27,7 @@ from lexid import (
     preset_config,
     score_all,
 )
+from lexid import scoring
 from lexid.lexicon import LexiconError
 from lexid.scoring import TIE_REL_TOL, _classify_text, _verdict
 
@@ -320,30 +322,34 @@ def hex_scores(lex, cfg, texts=GOLDEN_TEXTS):
 
 
 class TestCompiledScorer:
-    """A lexicon keeps one scorer, for the last config it scored with."""
+    """A lexicon keeps one compiled function per config it has scored with."""
 
     def test_changing_config_rescores(self):
-        lex = load_lexicon(demo_lexicon_dir())
+        # test1, test9, test1 and an equal copy of test9: each config compiles once.
         configs = [PRESETS["test1"], PRESETS["test9"], PRESETS["test1"],
                    ScoringConfig(*PRESETS["test9"])]
-        for cfg in configs:
-            fresh = load_lexicon(demo_lexicon_dir())
-            assert hex_scores(lex, cfg) == hex_scores(fresh, cfg)
-            assert lex._scorer.config == cfg
+        expected = [hex_scores(load_lexicon(demo_lexicon_dir()), cfg) for cfg in configs]
+        lex = load_lexicon(demo_lexicon_dir())
+        with mock.patch.object(scoring, "_compile", wraps=scoring._compile) as compile_:
+            assert [hex_scores(lex, cfg) for cfg in configs] == expected
+        assert compile_.call_args_list == [mock.call(lex, cfg) for cfg in configs[:2]]
+        assert set(lex._scorers) == set(configs)
 
     def test_equal_config_keeps_the_scorer(self):
         lex = load_lexicon(demo_lexicon_dir())
         _classify_text(GOLDEN_TEXTS[2], lex, PRESETS["test9"])
-        scorer = lex._scorer
+        scorers = dict(lex._scorers)
         classify(normalize_text(GOLDEN_TEXTS[2]), lex, ScoringConfig(*PRESETS["test9"]))
-        assert lex._scorer is scorer
+        assert lex._scorers == scorers
+        assert lex._scorers[PRESETS["test9"]] is scorers[PRESETS["test9"]]
 
     def test_scoring_leaves_no_reference_cycle(self):
         # A lexicon in a cycle outlives its last use until the collector runs.
         lex = load_lexicon(demo_lexicon_dir())
-        classify(normalize_text(GOLDEN_TEXTS[2]), lex, PRESETS["test9"])
-        _classify_text(GOLDEN_TEXTS[2], lex, PRESETS["test9"])
-        assert lex._scorer is not None
+        for cfg in (PRESETS["test1"], PRESETS["test9"]):
+            classify(normalize_text(GOLDEN_TEXTS[2]), lex, cfg)
+            _classify_text(GOLDEN_TEXTS[2], lex, cfg)
+        assert len(lex._scorers) == 2
         ref = weakref.ref(lex)
         gc.disable()
         try:
@@ -374,6 +380,7 @@ class TestCompiledScorer:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == {name: [serial[name]] * 5 for name in names}
+        assert set(lex._scorers) == set(PRESETS.values())
 
     def test_one_language_caches_nothing(self):
         lex = LexiconSet({"fr": LanguageLexicon(frozenset({"le"}), frozenset("é"))})
@@ -386,7 +393,8 @@ class TestCompiledScorer:
                     score_all(nt, lex, cfg)
                 with pytest.raises(LexiconError, match="at least 2"):
                     _classify_text("le café", lex, cfg)
-                assert lex._scorer is None
+                assert lex._scorers == {}
+                assert "_diacritic_re" not in vars(lex)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_one_language_evaluates_an_empty_corpus(self, parallelism):
@@ -394,21 +402,22 @@ class TestCompiledScorer:
         report = evaluate([], lex, PRESETS["test9"], parallelism=parallelism)
         assert report.total_documents == 0
         assert report.config_echo["languages"] == ["fr"]
-        assert lex._scorer is None
+        assert lex._scorers == {}
 
     @pytest.mark.parametrize("entry", ["classify", "_classify_text"])
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickles_after_scoring(self, entry, protocol):
         lex = load_lexicon(demo_lexicon_dir())
-        cfg = PRESETS["test9"]
-        if entry == "classify":
-            classify(normalize_text(GOLDEN_TEXTS[2]), lex, cfg)
-        else:
-            _classify_text(GOLDEN_TEXTS[2], lex, cfg)
-        assert lex._scorer is not None
+        for cfg in (PRESETS["test1"], PRESETS["test9"]):
+            if entry == "classify":
+                classify(normalize_text(GOLDEN_TEXTS[2]), lex, cfg)
+            else:
+                _classify_text(GOLDEN_TEXTS[2], lex, cfg)
+        scorers = dict(lex._scorers)
+        assert len(scorers) == 2
         copy = pickle.loads(pickle.dumps(lex, protocol))
         assert copy == lex
-        assert copy._scorer is None
-        assert lex._scorer is not None
+        assert copy._scorers == {}
+        assert lex._scorers == scorers
         for name, preset in PRESETS.items():
             assert hex_scores(copy, preset) == hex_scores(lex, preset), name

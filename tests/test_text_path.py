@@ -132,7 +132,7 @@ class TestTermCounts:
             )
             with chunk_size(size):
                 for text in (raw, raw + "\n"):
-                    assert _term_counts(text, lex._diacritic_pattern()) == expected, text[:80]
+                    assert _term_counts(text, lex._diacritic_re) == expected, text[:80]
 
 
 def test_golden_texts():
@@ -238,11 +238,11 @@ def test_detect_scores_bytes_on_golden_texts(tmp_path):
 
 
 def test_loading_builds_no_scorer():
-    assert load_lexicon(demo_lexicon_dir())._scorer is None
+    assert load_lexicon(demo_lexicon_dir())._scorers == {}
 
 
 def test_classify_leaves_the_diacritic_pattern_unbuilt():
     lex = load_lexicon(demo_lexicon_dir())
     for text in GOLDEN_TEXTS:
         classify(normalize_text(text), lex, PRESETS["test9"])
-    assert lex._diacritic_re is None
+    assert "_diacritic_re" not in vars(lex)
