@@ -13,10 +13,13 @@ writes stdout as UTF-8 whatever the locale.  A reader that closes stdout
 early, as in ``lexid detect --stdin | head -1``, ends the run quietly
 with exit 0; a command started with the stdin or stdout it needs closed
 exits 2.
-Results go to stdout, logs and summaries to stderr.  ``--lexicon``
-defaults to the ``LID_LEXICON`` environment variable.  The evaluation
-code is imported only by ``evaluate``, and :mod:`json` only by
-``evaluate`` and ``detect --scores``, so ``detect`` starts without them.
+Results go to stdout, logs and summaries to stderr; a warning is one
+``WARNING: <message>`` line.  ``--lexicon`` defaults to the
+``LID_LEXICON`` environment variable.  The evaluation code is imported
+only by ``evaluate``, :mod:`json` only by ``evaluate`` and ``detect
+--scores``, and :mod:`logging` only when a record is logged, so a
+``detect`` that has nothing to warn about starts without them.  Each
+verdict goes out in one write, as soon as its line is classified.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import logging
 import os
 import sys
 from pathlib import Path
 
+from . import lexicon
 from .lexicon import (
     UNDETERMINED,
     LexiconError,
@@ -154,17 +157,14 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             # A line's trailing \n is whitespace, which changes no count.
             verdict, values = _classify_text(line, lex, cfg)
             label = verdict.language or UNDETERMINED
+            # One write per line: print writes the "\n" apart, which costs a
+            # second system call per line when stdout is unbuffered.
             if args.scores:
                 scores = dict(zip(lex.codes, values))
-                print(
-                    json.dumps(
-                        {"language": label, "reason": verdict.reason, "scores": scores},
-                        ensure_ascii=False,
-                    ),
-                    file=out,
-                )
+                record = {"language": label, "reason": verdict.reason, "scores": scores}
+                out.write(json.dumps(record, ensure_ascii=False) + "\n")
             else:
-                print(label, file=out)
+                out.write(label + "\n")
     return EXIT_OK
 
 
@@ -293,11 +293,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     # Input bytes that did not decode, as in a lexicon path, go out unchanged.
     if isinstance(sys.stdout, io.TextIOWrapper):
         sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     parser = _build_parser()
+    # Applied by the first warning; a run that logs nothing never loads logging.
+    lexicon._log_config = {"stream": sys.stderr, "format": "%(levelname)s: %(message)s"}
     try:
         args = parser.parse_args(argv)
         code = args.func(args)
@@ -326,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # e.g. corpus gold labels outside the lexicon
         print(f"lexid: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        # A host that calls main() keeps its own logging set-up afterwards.
+        lexicon._log_config = None
 
 
 def run() -> None:

@@ -15,8 +15,8 @@ the path ``lexid detect`` uses, which holds one chunk of a long text at
 a time, so the corpus itself is the bulk of the memory.  The records
 are named tuples.  :mod:`lexid` imports this module on first use of one
 of its names, :mod:`multiprocessing` is imported only when
-:func:`evaluate` starts workers, and :mod:`csv` only when a CSV report
-is written.
+:func:`evaluate` starts workers, :mod:`csv` only when a CSV report is
+written, and :mod:`logging` only when a corpus line is skipped.
 """
 
 from __future__ import annotations
@@ -24,16 +24,13 @@ from __future__ import annotations
 import codecs
 import io
 import json
-import logging
 import math
 import os
 from collections import Counter, namedtuple
 from pathlib import Path
 
-from .lexicon import UNCLASSIFIED, LexiconSet
+from .lexicon import UNCLASSIFIED, LexiconSet, _warn
 from .scoring import NO_EVIDENCE, TIE, ScoringConfig, _classify_text
-
-logger = logging.getLogger(__name__)
 
 #: Parsing aborts when more than this fraction of lines is malformed.
 MAX_MALFORMED_FRACTION = 0.10
@@ -139,12 +136,12 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
                 line = _decode(data)
                 label, text = parse(line.removeprefix("\ufeff") if line_no == 1 else line)
             except ValueError as exc:  # its message says why the line is malformed
-                logger.warning("%s:%d: %s, skipped", path, line_no, exc)
+                _warn(f"{path}:{line_no}: {exc}, skipped", logger=__name__)
                 malformed += 1
                 continue
             label = label.strip()
             if not label or not text.strip():
-                logger.warning("%s:%d: empty label or text, skipped", path, line_no)
+                _warn(f"{path}:{line_no}: empty label or text, skipped", logger=__name__)
                 continue
             documents.append(LabeledDocument(gold=label.lower(), text=text, id=len(documents)))
     if total and malformed / total > MAX_MALFORMED_FRACTION:

@@ -25,7 +25,6 @@ five supported languages.
 
 from __future__ import annotations
 
-import logging
 import os
 import re
 import unicodedata
@@ -36,8 +35,6 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .normalize import _tokens
-
-logger = logging.getLogger(__name__)
 
 # Term-index namespaces.
 STOPWORD = "stopword"
@@ -146,7 +143,7 @@ class LexiconSet:
         self._index = index
         self._all_diacritics = frozenset(index[DIACRITIC])
         self._fingerprint: str | None = None
-        self._scorers: dict = {}  # config -> compiled function; filled by lexid.scoring._compiled
+        self._scorers: dict = {}  # recent config -> compiled function; see lexid.scoring._compiled
 
     @property
     def languages(self) -> Mapping[str, LanguageLexicon]:
@@ -344,8 +341,20 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
         raise LexiconError(f"{root}: {exc}") from None
 
 
-def _warn(message: str, warnings_to: list[Finding] | None) -> None:
-    logger.warning("%s", message)
+#: ``logging.basicConfig`` arguments that :func:`_warn` applies once,
+#: before its first record; ``lexid.cli.main`` sets them while it runs.
+_log_config: dict | None = None
+
+
+def _warn(message: str, warnings_to: list[Finding] | None = None, logger: str = __name__) -> None:
+    """Log ``message`` as a warning of ``logger``, importing :mod:`logging` on first use."""
+    global _log_config
+    import logging
+
+    if _log_config is not None:
+        logging.basicConfig(**_log_config)
+        _log_config = None
+    logging.getLogger(logger).warning("%s", message)
     if warnings_to is not None:
         warnings_to.append(Finding("warning", message))
 

@@ -206,15 +206,25 @@ def _compile(lex: LexiconSet, cfg: ScoringConfig):
     return verdict_scores
 
 
+#: Compiled functions a lexicon keeps: the nine presets and a few more.
+_KEPT_CONFIGS = 16
+
+
 def _compiled(lex: LexiconSet, cfg: ScoringConfig):
     """The compiled function of ``lex`` under ``cfg``, compiled on first use.
 
-    ``lex`` keeps one compiled function per config it has scored with,
-    about 1.5 KB each; a pickled copy holds none.
+    ``lex`` keeps the functions of the ``_KEPT_CONFIGS`` configs it
+    compiled last, about 1.5 KB each; a pickled copy holds none.
     """
-    scorer = lex._scorers.get(cfg)
+    scorers = lex._scorers
+    scorer = scorers.get(cfg)
     if scorer is None:
-        scorer = lex._scorers[cfg] = _compile(lex, cfg)
+        scorer = _compile(lex, cfg)
+        # Drop the oldest.  list() copies the keys at once, and popping a
+        # key another thread already dropped does nothing.
+        for old in list(scorers)[: 1 - _KEPT_CONFIGS]:
+            scorers.pop(old, None)
+        scorers[cfg] = scorer
     return scorer
 
 

@@ -1,18 +1,23 @@
 import contextlib
 import io
 import json
+import logging
 import multiprocessing
 import os
+import queue
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import lexid
+import lexid.lexicon as lexicon_module
 from lexid import PRESETS, classify, demo_lexicon_dir, load_lexicon, normalize_text, preset_config
 from lexid.cli import main
+from lexid.evaluation import load_corpus
 
 from test_evaluation import fork_with_failures, hostile_json_line, raising
 from test_lexicon import NOT_UTF8, write_lexicon_dir
@@ -112,6 +117,32 @@ class TestDetect:
             proc.stdout.close()
             stderr = proc.stderr.read()
             assert proc.wait(timeout=120) == 0
+        assert stderr == b""
+
+    def test_unbuffered_stdin_stream_answers_each_line_before_the_next(self, ab_dir):
+        argv = ["detect", "--stdin", "--lexicon", ab_dir, "--preset", "test9"]
+        lines = ["le café", "el ñu", "zzz", "la", "le"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "lexid.cli", *argv],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": "1"},
+        ) as proc:
+            verdicts = queue.Queue()
+            reader = threading.Thread(target=lambda: [verdicts.put(v) for v in proc.stdout])
+            reader.start()
+            got = []
+            for line in lines:
+                proc.stdin.write(f"{line}\n".encode())
+                proc.stdin.flush()
+                got.append(verdicts.get(timeout=60))
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+            reader.join(timeout=60)
+            stderr = proc.stderr.read()
+        assert got == [b"a\n", b"b\n", b"und\n", b"und\n", b"a\n"]
+        assert verdicts.empty()
         assert stderr == b""
 
     def test_file_input(self, capsys, tmp_path, ab_dir):
@@ -265,11 +296,12 @@ class TestStartup:
         assert loaded == "[]"
 
     def test_detect_loads_no_dataclasses_inspect_json_or_evaluation(self):
-        heavy = ["dataclasses", "inspect", "json", "lexid.evaluation"]
+        heavy = ["dataclasses", "inspect", "json", "logging", "traceback", "lexid.evaluation"]
         assert loaded_after_detect(self.ARGV, heavy) == ["fr", "[]"]
 
     def test_detect_scores_still_prints_json(self):
-        *lines, loaded = loaded_after_detect([*self.ARGV, "--scores"], ["json"])
+        argv = [*self.ARGV, "--scores"]
+        *lines, loaded = loaded_after_detect(argv, ["json", "logging", "traceback"])
         assert loaded == "['json']"
         assert len(lines) == 1
         payload = json.loads(lines[0])
@@ -300,6 +332,65 @@ class TestStartup:
         with pytest.raises(AttributeError, match="no attribute 'x'"):
             lexid.x
         assert not hasattr(lexid, "evaluation_report")
+
+
+def run_cli(argv):
+    """``python -m lexid.cli argv`` in a child; stdout and stderr as text."""
+    return subprocess.run(
+        [sys.executable, "-m", "lexid.cli", *argv],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+
+
+class TestLogging:
+    """Warnings go to stderr as ``WARNING: <message>``."""
+
+    @pytest.fixture()
+    def capital_lexicon(self, tmp_path):
+        root = tmp_path / "lex"
+        write_lexicon_dir(root, {"a": (["Le", "la"], ["é"]), "b": (["el", "la"], ["ñ"])})
+        return root
+
+    @pytest.fixture()
+    def corpus_without_tab(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        # One malformed line in 11 stays below the 10% that rejects a corpus.
+        path.write_text("a\tle café\n" * 5 + "b\tel ñu\n" * 5 + "no tab here\n", "utf-8")
+        return path
+
+    def test_lexicon_warning_format(self, capital_lexicon):
+        done = run_cli(["detect", "--lexicon", str(capital_lexicon), "--preset", "test9", "le"])
+        path = capital_lexicon / "a" / "stopwords.txt"
+        assert (done.returncode, done.stdout) == (0, "a\n")
+        assert done.stderr == f"WARNING: {path}:1: normalized 'Le' to 'le'\n"
+
+    def test_corpus_warning_format(self, corpus_without_tab, ab_dir):
+        done = run_cli(["evaluate", "--lexicon", ab_dir, "--corpus", str(corpus_without_tab),
+                        "--format", "tsv", "--preset", "test9"])
+        assert done.returncode == 0
+        assert done.stderr == (
+            f"WARNING: {corpus_without_tab}:11: no tab separator, skipped\n"
+            "overall accuracy 100.00% over 10 documents\n"
+        )
+
+    def test_logging_loads_when_a_record_is_logged(self, capital_lexicon):
+        argv = ["detect", "--lexicon", str(capital_lexicon), "--preset", "test9", "le"]
+        assert loaded_after_detect(argv, ["logging"]) == ["a", "['logging']"]
+
+    def test_main_leaves_no_logging_set_up_behind(self, capsys, ab_dir):
+        assert run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test9", "le"])[0] == 0
+        assert lexicon_module._log_config is None
+
+    def test_logger_names(self, capital_lexicon, corpus_without_tab, caplog):
+        with caplog.at_level(logging.WARNING):
+            load_lexicon(capital_lexicon)
+            load_corpus(corpus_without_tab, "tsv")
+        assert [r.name for r in caplog.records] == ["lexid.lexicon", "lexid.evaluation"]
+        assert [r.levelname for r in caplog.records] == ["WARNING", "WARNING"]
 
 
 class TestDetectErrors:

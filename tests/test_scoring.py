@@ -322,7 +322,7 @@ def hex_scores(lex, cfg, texts=GOLDEN_TEXTS):
 
 
 class TestCompiledScorer:
-    """A lexicon keeps one compiled function per config it has scored with."""
+    """A lexicon keeps one compiled function per config it compiled last."""
 
     def test_changing_config_rescores(self):
         # test1, test9, test1 and an equal copy of test9: each config compiles once.
@@ -342,6 +342,27 @@ class TestCompiledScorer:
         classify(normalize_text(GOLDEN_TEXTS[2]), lex, ScoringConfig(*PRESETS["test9"]))
         assert lex._scorers == scorers
         assert lex._scorers[PRESETS["test9"]] is scorers[PRESETS["test9"]]
+
+    def test_sweep_keeps_only_the_latest_configs(self):
+        lex = load_lexicon(demo_lexicon_dir())
+        nt = normalize_text(GOLDEN_TEXTS[2])
+        configs = [ScoringConfig(p=i / 999) for i in range(1000)]
+        for cfg in configs:
+            score_all(nt, lex, cfg)
+            assert len(lex._scorers) <= scoring._KEPT_CONFIGS
+        assert list(lex._scorers) == configs[-scoring._KEPT_CONFIGS:]
+
+    def test_evicted_config_recompiles_to_the_same_scores(self):
+        lex = load_lexicon(demo_lexicon_dir())
+        first = PRESETS["test9"]
+        expected = hex_scores(lex, first)
+        for i in range(scoring._KEPT_CONFIGS):
+            score_all(normalize_text(GOLDEN_TEXTS[2]), lex, ScoringConfig(p=i / 100))
+        assert first not in lex._scorers
+        with mock.patch.object(scoring, "_compile", wraps=scoring._compile) as compile_:
+            assert hex_scores(lex, first) == expected
+        assert compile_.call_args_list == [mock.call(lex, first)]
+        assert list(lex._scorers)[-1] == first
 
     def test_scoring_leaves_no_reference_cycle(self):
         # A lexicon in a cycle outlives its last use until the collector runs.
