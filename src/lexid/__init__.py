@@ -10,19 +10,14 @@ instead of guessing when the evidence is absent or tied.
 
 from .lexicon import (
     DIACRITIC,
-    FOLDING_TABLE,
     Finding,
     LanguageLexicon,
     LexiconError,
     LexiconSet,
     STOPWORD,
     UNCLASSIFIED,
-    augment_with_stripped_variants,
     demo_lexicon_dir,
     load_lexicon,
-    save_lexicon,
-    strip_diacritics,
-    validate_lexicon,
 )
 from .normalize import NormalizedText, normalize_text
 from .scoring import (
@@ -75,12 +70,20 @@ __all__ = [
 ]
 
 
-# Every name in __all__ that the imports above leave unbound comes from
-# lexid.evaluation, loaded on first use (PEP 562) so that a program that
-# only classifies texts never imports the evaluation code.
-def __getattr__(name: str):
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import evaluation
+# Each name in __all__ that the imports above leave unbound, and the module
+# it is loaded from on first use (PEP 562), so that a program that only
+# classifies texts imports neither the lexicon tooling nor the evaluation.
+_LAZY = {
+    **dict.fromkeys(["FOLDING_TABLE", "augment_with_stripped_variants", "save_lexicon",
+                     "strip_diacritics", "validate_lexicon"], "tooling"),
+    **dict.fromkeys(["ConfusionMatrix", "CorpusFormatError", "EvaluationReport",
+                     "LabeledDocument", "emit_report", "evaluate", "load_corpus"], "evaluation"),
+}
 
-    return getattr(evaluation, name)
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)

@@ -16,10 +16,11 @@ exits 2.
 Results go to stdout, logs and summaries to stderr; a warning is one
 ``WARNING: <message>`` line.  ``--lexicon`` defaults to the
 ``LID_LEXICON`` environment variable.  The evaluation code is imported
-only by ``evaluate``, :mod:`json` only by ``evaluate`` and ``detect
---scores``, and :mod:`logging` only when a record is logged, so a
-``detect`` that has nothing to warn about starts without them.  Each
-verdict goes out in one write, as soon as its line is classified.
+only by ``evaluate``, the lexicon tooling (:mod:`lexid.tooling`) only by
+``dict``, :mod:`json` only by ``evaluate`` and ``detect --scores``, and
+:mod:`logging` only when a record is logged, so a ``detect`` that has
+nothing to warn about starts without them.  Each verdict goes out in one
+write, as soon as its line is classified.
 """
 
 from __future__ import annotations
@@ -33,15 +34,13 @@ from pathlib import Path
 
 from . import lexicon
 from .lexicon import (
+    STOPWORD,
     UNDETERMINED,
     LexiconError,
     _iter_terms,
-    augment_with_stripped_variants,
+    _read_entries,
     demo_lexicon_dir,
     load_lexicon,
-    save_lexicon,
-    strip_diacritics,
-    validate_lexicon,
 )
 from .scoring import PRESETS, TF_MODES, WEIGHT_MODES, ScoringConfig, _classify_text, preset_config
 
@@ -201,19 +200,21 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dict(args: argparse.Namespace) -> int:
+    from . import tooling
+
     if args.action == "strip":
-        words = [strip_diacritics(term) for _, term in _iter_terms(Path(args.in_path))]
+        words = map(tooling.strip_diacritics, _read_entries(Path(args.in_path), STOPWORD))
         Path(args.out).write_text("".join(f"{w}\n" for w in words), encoding="utf-8")
         return EXIT_OK
     if args.action == "augment":
         lex = _require_lexicon(args)
-        save_lexicon(augment_with_stripped_variants(lex), args.out)
+        tooling.save_lexicon(tooling.augment_with_stripped_variants(lex), args.out)
         return EXIT_OK
     out = _std("stdout")
     if args.action == "validate":
         findings = []
         lex = _require_lexicon(args, warnings_to=findings)
-        findings.extend(validate_lexicon(lex))
+        findings.extend(tooling.validate_lexicon(lex))
         for finding in findings:
             print(finding, file=out)
         if any(f.severity == "error" for f in findings):

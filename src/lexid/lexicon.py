@@ -1,4 +1,4 @@
-"""Per-language stop-word and diacritic dictionaries.
+"""Per-language stop-word and diacritic dictionaries: their file format and term index.
 
 A :class:`LexiconSet` bundles one :class:`LanguageLexicon` per language
 together with a cross-language term index: for every term it records
@@ -20,7 +20,8 @@ both are lowercase and canonically composed (NFC).  The loader
 normalizes each entry itself and warns about any it had to change;
 :class:`LexiconSet` accepts only entries already in that form.  The
 shipped ``data/demo`` lexicon holds the built-in diacritic sets of the
-five supported languages.
+five supported languages.  The tools that curate lexicons (accent
+folding, augmentation, validation, saving) are in :mod:`lexid.tooling`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 import re
 import unicodedata
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -45,23 +46,6 @@ DIACRITIC = "diacritic"
 UNCLASSIFIED = "unclassified"
 #: Printed by ``lexid detect`` (ISO 639 "undetermined").
 UNDETERMINED = "und"
-
-# Accent-folding table used to derive plain-ASCII spellings of stop
-# words.  œ/æ fold to their two-letter expansions; anything not listed
-# passes through unchanged.
-FOLDING_TABLE: dict[str, str] = {
-    "à": "a", "â": "a", "á": "a", "ă": "a", "ã": "a",
-    "æ": "ae",
-    "ç": "c",
-    "è": "e", "é": "e", "ê": "e", "ë": "e",
-    "î": "i", "ï": "i", "ì": "i", "í": "i",
-    "ô": "o", "ò": "o", "ó": "o", "õ": "o",
-    "œ": "oe",
-    "ù": "u", "û": "u", "ü": "u", "ú": "u",
-    "ñ": "n",
-    "ș": "s", "ş": "s",
-    "ț": "t", "ţ": "t",
-}
 
 
 class LexiconError(ValueError):
@@ -241,67 +225,6 @@ def _is_canonical(kind: str, term: str) -> bool:
     )
 
 
-def strip_diacritics(term: str) -> str:
-    """Replace accented characters with their ASCII base spelling."""
-    return "".join(FOLDING_TABLE.get(ch, ch) for ch in term)
-
-
-def augment_with_stripped_variants(lex: LexiconSet) -> LexiconSet:
-    """Add the accent-stripped variant of every stop word, per language.
-
-    Diacritic sets are untouched.  Idempotent: augmenting an augmented
-    lexicon returns an equal one.
-    """
-    languages = {
-        code: LanguageLexicon(
-            stopwords=lexicon.stopwords | {strip_diacritics(w) for w in lexicon.stopwords},
-            diacritics=lexicon.diacritics,
-        )
-        for code, lexicon in lex.languages.items()
-    }
-    return LexiconSet(languages)
-
-
-def validate_lexicon(lex: LexiconSet) -> list[Finding]:
-    """Diagnose lexicon weaknesses without rejecting the lexicon.
-
-    Error findings mark lexicons unusable for classification (fewer than
-    two languages).  Warnings flag stop words listed by at least two
-    languages and all but at most one, accented characters used in stop
-    words that no diacritic set lists, and languages with empty
-    diacritic sets.
-    """
-    findings: list[Finding] = []
-    n_langs = lex.n_languages
-    if n_langs < 2:
-        findings.append(
-            Finding("error", f"only {n_langs} language(s); classification needs at least 2")
-        )
-
-    for term, positions in sorted(lex._index[STOPWORD].items()):
-        if len(positions) >= max(2, n_langs - 1):
-            message = f"stop word {term!r} appears in {len(positions)} of {n_langs} languages"
-            findings.append(Finding("warning", message))
-
-    accented_in_use = {
-        ch
-        for lexicon in lex.languages.values()
-        for word in lexicon.stopwords
-        for ch in word
-        if ch in FOLDING_TABLE
-    }
-    for ch in sorted(accented_in_use - lex.all_diacritics):
-        findings.append(
-            Finding("warning", f"character {ch!r} appears in stop words but in no diacritic set")
-        )
-
-    for code, lexicon in lex.languages.items():
-        if not lexicon.diacritics:
-            findings.append(Finding("warning", f"language {code!r} has an empty diacritic set"))
-
-    return findings
-
-
 def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> LexiconSet:
     """Load and validate a lexicon directory.
 
@@ -329,8 +252,8 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
             if not path.is_file():
                 raise LexiconError(f"missing lexicon file {path}")
         languages[code] = LanguageLexicon(
-            stopwords=_read_entries(stopwords_path, STOPWORD, warnings_to),
-            diacritics=_read_entries(diacritics_path, DIACRITIC, warnings_to),
+            stopwords=frozenset(_read_entries(stopwords_path, STOPWORD, warnings_to)),
+            diacritics=frozenset(_read_entries(diacritics_path, DIACRITIC, warnings_to)),
         )
 
     if not languages:
@@ -376,8 +299,8 @@ def _iter_terms(path: Path):
             yield line_no, term
 
 
-def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None) -> frozenset[str]:
-    entries = set()
+def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None = None):
+    """The :func:`_entry` of each entry line, in file order; errors and warnings name path:line."""
     for line_no, term in _iter_terms(path):
         try:
             entry = _entry(kind, term)
@@ -385,27 +308,7 @@ def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None) -> f
             raise LexiconError(f"{path}:{line_no}: {exc}") from None
         if entry != term:
             _warn(f"{path}:{line_no}: normalized {term!r} to {entry!r}", warnings_to)
-        entries.add(entry)
-    return frozenset(entries)
-
-
-def save_lexicon(lex: LexiconSet, root: str | Path) -> None:
-    """Write ``lex`` in the directory layout :func:`load_lexicon` reads.
-
-    Entries are written sorted, so saving equal lexicons produces
-    byte-identical trees.
-    """
-    root = Path(root)
-    for code in lex.codes:
-        lang_dir = root / code
-        lang_dir.mkdir(parents=True, exist_ok=True)
-        lexicon = lex.languages[code]
-        (lang_dir / "stopwords.txt").write_text(
-            "".join(f"{w}\n" for w in sorted(lexicon.stopwords)), encoding="utf-8"
-        )
-        (lang_dir / "diacritics.txt").write_text(
-            "".join(f"{c}\n" for c in sorted(lexicon.diacritics)), encoding="utf-8"
-        )
+        yield entry
 
 
 def demo_lexicon_dir() -> Path:

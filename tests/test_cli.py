@@ -8,6 +8,7 @@ import queue
 import subprocess
 import sys
 import threading
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -308,16 +309,51 @@ class TestStartup:
         assert (payload["language"], payload["reason"]) == ("fr", None)
         assert payload["scores"]["fr"] > 0
 
+    @pytest.mark.parametrize("extra", [[], ["--scores"]])
+    def test_detect_loads_no_tooling(self, extra):
+        *lines, loaded = loaded_after_detect([*self.ARGV, *extra], ["lexid.tooling"])
+        assert (len(lines), loaded) == (1, "[]")
+
+    def test_evaluate_loads_no_tooling(self, tmp_path):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("fr\tle café est déjà froid\n", "utf-8")
+        argv = ["evaluate", "--lexicon", DEMO, "--corpus", str(corpus), "--format", "tsv",
+                "--preset", "test9"]
+        *report, loaded = loaded_after_detect(argv, ["lexid.tooling"])
+        assert report[0].startswith("Documents: 1")
+        assert loaded == "[]"
+
+    def test_dict_strip_loads_no_evaluation(self, tmp_path):
+        (tmp_path / "in.txt").write_text("și\n", "utf-8")
+        argv = ["dict", "strip", "--in", str(tmp_path / "in.txt"), "--out", str(tmp_path / "out")]
+        modules = ["lexid.tooling", "lexid.evaluation"]
+        assert loaded_after_detect(argv, modules) == ["['lexid.tooling']"]
+        assert (tmp_path / "out").read_text("utf-8") == "si\n"
+
+    @pytest.mark.parametrize(
+        ("name", "module"), [("strip_diacritics", "tooling"), ("evaluate", "evaluation")]
+    )
+    def test_a_lazy_name_loads_only_its_module(self, name, module):
+        lines = run_fresh(
+            "import sys, lexid\n"
+            "modules = ['lexid.tooling', 'lexid.evaluation']\n"
+            "print([m for m in modules if m in sys.modules])\n"
+            f"lexid.{name}\n"
+            "print([m for m in modules if m in sys.modules])\n"
+        )
+        assert lines == ["[]", f"['lexid.{module}']"]
+
     def test_star_import_binds_every_public_name(self):
         lines = run_fresh(
             "import sys, lexid\n"
-            "print('lexid.evaluation' in sys.modules)\n"
+            "print('lexid.evaluation' in sys.modules, 'lexid.tooling' in sys.modules)\n"
             "names = {}\n"
             "exec('from lexid import *', names)\n"
             "print(sorted(set(lexid.__all__) - names.keys()))\n"
             "print(names['evaluate'] is lexid.evaluation.evaluate)\n"
+            "print(names['strip_diacritics'] is lexid.tooling.strip_diacritics)\n"
         )
-        assert lines == ["False", "[]", "True"]
+        assert lines == ["False False", "[]", "True", "True"]
 
     def test_evaluation_names_resolve_to_the_module(self):
         import lexid.evaluation
@@ -327,6 +363,15 @@ class TestStartup:
         for name in shared:
             assert getattr(lexid, name) is getattr(lexid.evaluation, name)
         assert lexid.evaluate is lexid.evaluation.evaluate
+
+    def test_tooling_names_resolve_to_the_module(self):
+        import lexid.tooling
+
+        names = ["FOLDING_TABLE", "augment_with_stripped_variants", "save_lexicon",
+                 "strip_diacritics", "validate_lexicon"]
+        assert set(names) <= set(lexid.__all__)
+        for name in names:
+            assert getattr(lexid, name) is getattr(lexid.tooling, name)
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'x'"):
@@ -768,6 +813,25 @@ class TestDict:
         code, _, _ = run(capsys, ["dict", "strip", "--in", str(src), "--out", str(out)])
         assert code == 0
         assert out.read_text(encoding="utf-8") == "si\nvotre\n"
+
+    def test_strip_reads_entries_as_the_loader_does(self, capsys, caplog, tmp_path):
+        src = tmp_path / "in.txt"
+        decomposed = unicodedata.normalize("NFD", "été")
+        src.write_text(f"Été\n{decomposed}\nși\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        code, _, _ = run(capsys, ["dict", "strip", "--in", str(src), "--out", str(out)])
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == "ete\nete\nsi\n"
+        assert f"{src}:1: normalized 'Été' to 'été'" in caplog.messages
+
+    def test_strip_rejects_a_line_the_loader_rejects(self, capsys, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_text("à la\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        code, _, err = run(capsys, ["dict", "strip", "--in", str(src), "--out", str(out)])
+        assert code == 3
+        assert f"{src}:1: stop word 'à la' is not a single word" in err
+        assert not out.exists()
 
     def test_strip_invalid_utf8(self, capsys, tmp_path):
         src = tmp_path / "in.txt"

@@ -461,7 +461,57 @@ class TestConstructorInvariants:
                 assert 1 <= n <= demo_lex.n_languages
 
 
+def index_findings(lex):
+    """What ``validate_lexicon`` reports, with stop-word sharing read off the position index."""
+    n_langs = lex.n_languages
+    findings = []
+    if n_langs < 2:
+        findings.append(("error", f"only {n_langs} language(s); classification needs at least 2"))
+    findings += [
+        ("warning", f"stop word {term!r} appears in {len(positions)} of {n_langs} languages")
+        for term, positions in sorted(lex._index[STOPWORD].items())
+        if len(positions) >= max(2, n_langs - 1)
+    ]
+    accented = {
+        ch
+        for lexicon in lex.languages.values()
+        for word in lexicon.stopwords
+        for ch in word
+        if ch in FOLDING_TABLE
+    }
+    findings += [
+        ("warning", f"character {ch!r} appears in stop words but in no diacritic set")
+        for ch in sorted(accented - lex.all_diacritics)
+    ]
+    findings += [
+        ("warning", f"language {code!r} has an empty diacritic set")
+        for code, lexicon in lex.languages.items()
+        if not lexicon.diacritics
+    ]
+    return findings
+
+
 class TestValidate:
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_findings_match_the_position_index_on_the_demo(self, demo_lex, augmented):
+        lex = augment_with_stripped_variants(demo_lex) if augmented else demo_lex
+        findings = validate_lexicon(lex)
+        assert findings == index_findings(lex)
+        assert any(f.message.startswith("stop word") for f in findings)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_findings_match_the_position_index(self, seed):
+        _, lex, _ = random_instance(random.Random(seed))
+        # Every language also lists the first one's stop words, so most draws share some.
+        first = lex.languages[lex.codes[0]].stopwords
+        shared = {
+            code: lexicon._replace(stopwords=lexicon.stopwords | first)
+            for code, lexicon in lex.languages.items()
+        }
+        single = dict(list(lex.languages.items())[:1])
+        for candidate in (lex, LexiconSet(shared), LexiconSet(single)):
+            assert validate_lexicon(candidate) == index_findings(candidate)
+
     def test_widely_shared_stop_word(self):
         languages = {
             code: LanguageLexicon(frozenset(words), frozenset("é"))

@@ -31,6 +31,34 @@ def test_library_has_no_assert_statement():
     assert asserts == []
 
 
+def test_every_module_level_import_is_used():
+    """Stands in for a linter's unused-import rule.
+
+    Exempt are ``from __future__`` imports and the re-exports that
+    ``__init__.py`` lists in ``__all__``.
+    """
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        if path.name == "__init__.py":
+            used.update(lexid.__all__)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {bound}")
+    assert SOURCES
+    assert unused == []
+
+
 def test_only_lexicon_and_scoring_read_the_index():
     for attr in ("_index", "_scorers"):
         readers = {
