@@ -12,9 +12,12 @@ term frequencies in constant time.  A :class:`NormalizedText` is a
 named tuple.
 
 A URL chunk always contains ``://`` or ``www.``, so only a text holding
-one of them has its URL chunks removed, with one substitution; every text
-then goes through the same single letter-run ``findall`` in
-:func:`_tokens`, the one definition of a token.
+one of them has its URL chunks removed, with one substitution.
+:func:`_tokens`, the one definition of a token, then turns every ASCII
+non-letter into a space with one byte-table ``translate`` of the UTF-8
+form and splits on whitespace, all in C.  Only the words that still hold
+a non-ASCII non-letter (``’``, ``«``, an emoji, ``²``) are cut again, by
+a letter-run ``findall`` on each.
 
 ``lexid evaluate`` and ``lexid detect`` build no :class:`NormalizedText`:
 :func:`_term_counts` runs :func:`_tokens` on one whitespace-cut chunk of
@@ -37,9 +40,16 @@ from itertools import groupby
 # whitespace or U+FEFF.  Removing one cannot join two letter runs, since one
 # of those separators or the text's edge stays on either side of it.
 _URL_RE = re.compile(r"(?<![^\s\ufeff])[#@]*(?:[a-z][a-z0-9+.-]*://|www\.)[^\s\ufeff]*")
+# A ``bytes.translate`` table that turns every ASCII non-letter into a space
+# and keeps every other byte, so the bytes of a multi-byte UTF-8 character,
+# all 0x80 or above, pass through whole.
+_ASCII_NON_LETTER_TO_SPACE = bytes(
+    b if b >= 0x80 or chr(b).isalpha() else 0x20 for b in range(256)
+)
 # A run of word characters that are neither decimal digits nor "_".  That
 # class is every ``str.isalpha`` character plus non-letter numerics such
-# as "²" and "½", which ``_tokens`` splits out again.
+# as "²" and "½", which ``_tokens`` splits out again.  Only words that
+# hold a non-ASCII non-letter are searched with it.
 _LETTER_RUN_RE = re.compile(r"[^\W\d_]+")
 # ``_term_counts`` cuts a text longer than this many characters into chunks.
 _CHUNK = 1 << 16
@@ -63,23 +73,39 @@ def _tokens(raw: str) -> tuple[list[str], str]:
     """The letter tokens of ``raw`` in order, and their concatenation.
 
     These are steps 1-3 of :func:`normalize_text`; the lexicon loader
-    and :func:`_term_counts` take their tokens from here too.
+    and :func:`_term_counts` take their tokens from here too.  A token
+    is a maximal run of ``str.isalpha`` characters.  Turning the ASCII
+    non-letters into spaces and splitting on whitespace cuts only at
+    non-letters, so each word is a token unless it holds a non-ASCII
+    non-letter; ``surrogatepass`` carries lone surrogates through the
+    byte round trip unchanged.
     """
-    lowered = unicodedata.normalize("NFC", raw.lower())
-    if "://" in lowered or "www." in lowered:
-        lowered = _URL_RE.sub("", lowered)
-    tokens = _LETTER_RUN_RE.findall(lowered)
-    joined = "".join(tokens)
+    text = unicodedata.normalize("NFC", raw.lower())
+    if "://" in text or "www." in text:
+        text = _URL_RE.sub("", text)
+    # Rebinding ``text`` frees the unspaced copy before the split.
+    text = (
+        text.encode("utf-8", "surrogatepass")
+        .translate(_ASCII_NON_LETTER_TO_SPACE)
+        .decode("utf-8", "surrogatepass")
+    )
+    words = text.split()
+    joined = "".join(words)
     if joined.isalpha():
-        return tokens, joined
-    # Some run holds a non-letter numeric: split just those runs on it.
+        return words, joined
+    # Some word holds a non-ASCII non-letter: cut just those words into
+    # letter runs, and split a run holding a non-letter numeric on it.
     letters: list[str] = []
-    for run in tokens:
-        if run.isalpha():
-            letters.append(run)
-        else:
-            parts = groupby(run, str.isalpha)
-            letters.extend("".join(part) for is_alpha, part in parts if is_alpha)
+    for word in words:
+        if word.isalpha():
+            letters.append(word)
+            continue
+        for run in _LETTER_RUN_RE.findall(word):
+            if run.isalpha():
+                letters.append(run)
+            else:
+                parts = groupby(run, str.isalpha)
+                letters.extend("".join(part) for is_alpha, part in parts if is_alpha)
     return letters, "".join(letters)
 
 

@@ -121,8 +121,9 @@ def test_cli_and_evaluation_classify_raw_text():
 def test_only_the_tokenizer_finds_letter_runs():
     """``normalize._tokens`` is the one definition of a token.
 
-    Only its body reads the letter-run pattern or splits runs with
-    ``groupby``; the raw-text counter and ``normalize_text`` call it.
+    Only its body reads the byte table that spaces out ASCII non-letters
+    or the letter-run pattern, or splits runs with ``groupby``; the
+    raw-text counter and ``normalize_text`` call it.
     """
     path = next(path for path in SOURCES if path.name == "normalize.py")
     readers = []
@@ -133,14 +134,18 @@ def test_only_the_tokenizer_finds_letter_runs():
                 visit(child, getattr(child, "name", "<lambda>"))
                 continue
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and (
-                child.id == "_LETTER_RUN_RE"
+                child.id in ("_ASCII_NON_LETTER_TO_SPACE", "_LETTER_RUN_RE")
                 or (child.id == "groupby" and isinstance(node, ast.Call) and node.func is child)
             ):
                 readers.append((function, child.id))
             visit(child, function)
 
     visit(ast.parse(path.read_text("utf-8"), str(path)), None)
-    assert sorted(readers) == [("_tokens", "_LETTER_RUN_RE"), ("_tokens", "groupby")]
+    assert sorted(readers) == [
+        ("_tokens", "_ASCII_NON_LETTER_TO_SPACE"),
+        ("_tokens", "_LETTER_RUN_RE"),
+        ("_tokens", "groupby"),
+    ]
 
 
 def test_cli_and_evaluation_leave_compiling_to_the_raw_path():

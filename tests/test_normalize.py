@@ -1,12 +1,15 @@
 import re
+import string
 import sys
 import unicodedata
 from collections import Counter
 from itertools import groupby
+from unittest import mock
 
-from hypothesis import given, strategies as st
+from hypothesis import find, given, strategies as st
 
-from lexid import NormalizedText, normalize_text
+from lexid import NormalizedText, normalize, normalize_text
+from lexid.normalize import _ASCII_NON_LETTER_TO_SPACE, _term_counts
 
 
 def _reference_normalize(raw: str) -> NormalizedText:
@@ -66,6 +69,24 @@ url_marker_text = st.lists(
 ).map("".join)
 
 ALL_CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
+ASCII = "".join(map(chr, range(128)))
+
+# Pieces around the byte-table split: every ASCII character, which the
+# table turns into a space unless it is a letter; non-ASCII punctuation and
+# emoji, which send their word through the per-word cut; a combining accent;
+# and lone surrogates, which cross the UTF-8 round trip.  Drawn as often as
+# single letters.
+SPLIT_PIECES = [
+    *ASCII, *"’«»“”—…¿¡", "\N{HEAVY BLACK HEART}\N{VARIATION SELECTOR-16}", "\U0001F600",
+    "\N{COMBINING ACUTE ACCENT}", chr(0xDC80), chr(0xD83D),
+]
+split_text = st.lists(
+    st.one_of(st.sampled_from(ROMANCE_LETTERS), st.sampled_from(SPLIT_PIECES)),
+    max_size=40,
+).map("".join)
+# The letters whose counts ``_term_counts`` is asked for, as it is asked for
+# a lexicon's diacritics.
+COUNTED = re.compile(f"[{ROMANCE_LETTERS.lower()}]")
 
 mixed_text = st.text(
     alphabet=st.sampled_from(list(ROMANCE_LETTERS + " \t\n.,;!?#@0123456789-")),
@@ -225,3 +246,43 @@ class TestCodePoints:
         for ch in sorted(spaces):
             raw = f"a{ch}#b{ch}www.c{ch}d"
             assert normalize_text(raw) == _reference_normalize(raw), hex(ord(ch))
+
+
+def assert_matches_reference(raw):
+    nt, ref = normalize_text(raw), _reference_normalize(raw)
+    assert nt == ref, ascii(raw)
+    assert list(nt.char_freq.items()) == list(ref.char_freq.items()), ascii(raw)
+    counted = {ch: n for ch, n in ref.char_freq.items() if COUNTED.fullmatch(ch)}
+    assert _term_counts(raw, COUNTED) == (ref.token_freq, counted), ascii(raw)
+
+
+def cuts_a_word(raw):
+    """Whether tokenizing ``raw`` cut some word into letter runs."""
+    pattern = normalize._LETTER_RUN_RE
+    with mock.patch.object(normalize, "_LETTER_RUN_RE", wraps=pattern) as wrapped:
+        normalize_text(raw)
+    return wrapped.findall.called
+
+
+class TestByteTableSplit:
+    """The translate-and-split tokenizer agrees with the reference on every character."""
+
+    def test_table_spaces_exactly_the_ascii_non_letters(self):
+        non_letters = {b for b in range(128) if chr(b) not in string.ascii_letters}
+        assert len(non_letters) == 128 - 52
+        assert len(_ASCII_NON_LETTER_TO_SPACE) == 256
+        for b in range(256):
+            assert _ASCII_NON_LETTER_TO_SPACE[b] == (0x20 if b in non_letters else b), b
+
+    def test_every_ascii_character_around_letters(self):
+        for c in ASCII:
+            assert_matches_reference(f"{c}é{c}a{c} b{c}")
+
+    @given(split_text)
+    def test_split_text(self, raw):
+        assert_matches_reference(raw)
+
+    def test_split_text_takes_both_paths(self):
+        # ``find`` fails when no text the strategy draws meets the condition.
+        find(split_text, cuts_a_word)
+        find(split_text, lambda raw: normalize_text(raw).tokens and not cuts_a_word(raw))
