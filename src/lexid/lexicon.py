@@ -18,7 +18,9 @@ starting with ``#`` are ignored.  A stop word is one normalized token
 (:func:`lexid.normalize.normalize_text`) and a diacritic one letter;
 both are lowercase and canonically composed (NFC).  The loader
 normalizes each entry itself and warns about any it had to change;
-:class:`LexiconSet` accepts only entries already in that form.  The
+:class:`LexiconSet` accepts only entries already in that form.  Both
+check each file or language set in bulk and walk term by term only one
+that fails, to name its first bad line or term.  The
 shipped ``data/demo`` lexicon holds the built-in diacritic sets of the
 five supported languages.  The tools that curate lexicons (accent
 folding, augmentation, validation, saving) are in :mod:`lexid.tooling`.
@@ -83,7 +85,9 @@ class LexiconSet:
     surrounding whitespace, each one directory name (no ``/`` or NUL,
     not ``.`` or ``..``) so that saving and loading reproduces it, and
     may not be :data:`UNCLASSIFIED` or :data:`UNDETERMINED`, the labels
-    of texts no language won.  The private ``_index`` maps each term of a namespace
+    of texts no language won.  Each language's two sets are checked in
+    bulk; only a set that fails is walked term by term, to name the
+    first bad term.  The private ``_index`` maps each term of a namespace
     to the ascending positions, in :attr:`codes`, of the languages
     listing it; it is the only cross-language view.
     Immutable after construction, save what is stored on first use: the
@@ -116,14 +120,14 @@ class LexiconSet:
                 raise LexiconError(f"language code {code!r} is not UTF-8 text") from None
             own = (position,)
             for kind, terms in ((STOPWORD, lexicon.stopwords), (DIACRITIC, lexicon.diacritics)):
+                if not _all_canonical(kind, terms):
+                    bad = next(term for term in terms if not _is_canonical(kind, term))
+                    message = _NOT_CANONICAL[kind].format(bad)
+                    raise LexiconError(f"language {code!r}: {message}")
                 kind_index = index[kind]
+                # Languages are walked in order, so each tuple stays ascending.
                 for term in terms:
-                    if not _is_canonical(kind, term):
-                        message = _NOT_CANONICAL[kind].format(term)
-                        raise LexiconError(f"language {code!r}: {message}")
-                    # Languages are walked in order, so each tuple stays ascending.
-                    positions = kind_index.get(term)
-                    kind_index[term] = own if positions is None else positions + own
+                    kind_index[term] = kind_index.get(term, ()) + own
         self._index = index
         self._all_diacritics = frozenset(index[DIACRITIC])
         self._fingerprint: str | None = None
@@ -225,6 +229,20 @@ def _is_canonical(kind: str, term: str) -> bool:
     )
 
 
+def _all_canonical(kind: str, terms) -> bool:
+    """``all(_is_canonical(kind, t) for t in terms)``, in a few passes over the joined terms.
+
+    Once the joined terms are all letters, no term holds a ``\n``; and a
+    ``\n`` neither composes nor is cased or case-ignorable, so lowering
+    and composing the lines at once equals doing it term by term.
+    """
+    letters = "".join(terms)
+    if "" in terms or not letters.isalpha() or (kind == DIACRITIC and len(letters) != len(terms)):
+        return not terms
+    lines = "\n".join(terms)
+    return unicodedata.normalize("NFC", lines.lower()) == lines
+
+
 def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> LexiconSet:
     """Load and validate a lexicon directory.
 
@@ -232,7 +250,9 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
     (missing files, lines that are not valid UTF-8, multi-word stop-word
     lines, multi-character diacritic lines, duplicate or reserved codes,
     codes with surrounding whitespace, no languages at all) raise
-    :class:`LexiconError` with file and line context.
+    :class:`LexiconError` with file and line context.  Each file is read
+    once and checked in bulk; only a file that fails is walked line by
+    line, to name the lines to normalize or reject.
     Entries the loader had to normalize are logged and, when
     ``warnings_to`` is given, also appended to it as :class:`Finding`
     objects.
@@ -282,8 +302,8 @@ def _warn(message: str, warnings_to: list[Finding] | None = None, logger: str = 
         warnings_to.append(Finding("warning", message))
 
 
-def _iter_terms(path: Path):
-    """``(line number, term)`` of every entry line of a word-list file."""
+def _read_text(path: Path) -> str:
+    """The text of a word-list file, without a leading byte-order mark."""
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")
@@ -293,22 +313,42 @@ def _iter_terms(path: Path):
         raise LexiconError(
             f"{path}:{line_no}: invalid UTF-8 at byte {exc.start - line_start + 1}"
         ) from None
-    for line_no, line in enumerate(text.removeprefix("\ufeff").split("\n"), 1):
+    return text.removeprefix("\ufeff")
+
+
+def _iter_terms(path: Path):
+    """``(line number, term)`` of every entry line of a word-list file."""
+    return _numbered_terms(_read_text(path))
+
+
+def _numbered_terms(text: str):
+    """``(line number, term)`` of every entry line of a word-list file's text."""
+    for line_no, line in enumerate(text.split("\n"), 1):
         term = line.strip()
         if term and not term.startswith("#"):
             yield line_no, term
 
 
-def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None = None):
-    """The :func:`_entry` of each entry line, in file order; errors and warnings name path:line."""
-    for line_no, term in _iter_terms(path):
+def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None = None) -> list[str]:
+    """The :func:`_entry` of each entry line, in file order; errors and warnings name path:line.
+
+    Only a file that fails the bulk check is walked line by line.
+    """
+    text = _read_text(path)
+    terms = filter(None, map(str.strip, text.split("\n")))
+    terms = [term for term in terms if term[0] != "#"] if "#" in text else list(terms)
+    if _all_canonical(kind, terms):
+        return terms
+    entries = []
+    for line_no, term in _numbered_terms(text):
         try:
             entry = _entry(kind, term)
         except LexiconError as exc:
             raise LexiconError(f"{path}:{line_no}: {exc}") from None
         if entry != term:
             _warn(f"{path}:{line_no}: normalized {term!r} to {entry!r}", warnings_to)
-        yield entry
+        entries.append(entry)
+    return entries
 
 
 def demo_lexicon_dir() -> Path:

@@ -1,3 +1,4 @@
+import functools
 import os
 import pickle
 import random
@@ -22,7 +23,8 @@ from lexid import (
     strip_diacritics,
     validate_lexicon,
 )
-from lexid.lexicon import _entry, _is_canonical
+from lexid import lexicon
+from lexid.lexicon import _all_canonical, _entry, _is_canonical
 from lexid.normalize import _tokens
 
 from _synth import random_instance
@@ -577,6 +579,10 @@ def _stop_word_entry(term):
         return None
 
 
+#: Canonical neighbours for a term under test: a diacritic list needs single letters.
+BULK_NEIGHBOURS = ((STOPWORD, "le", "de"), (DIACRITIC, "é", "a"))
+
+
 class TestStopWordEntry:
     """The canonical-form shortcut of ``_entry`` agrees with tokenizing."""
 
@@ -590,6 +596,9 @@ class TestStopWordEntry:
                 # The predicate holds exactly for the terms that are their own entry.
                 assert _is_canonical(STOPWORD, term) == (tokenized == term), hex(cp)
                 assert _is_canonical(DIACRITIC, term) == (_folded_diacritic(term) == term), hex(cp)
+                # The bulk check agrees with the predicate, term by term.
+                for kind, left, right in BULK_NEIGHBOURS:
+                    assert _all_canonical(kind, [left, term, right]) == _is_canonical(kind, term)
 
     @given(st.text(min_size=1, max_size=12))
     def test_arbitrary_words(self, term):
@@ -601,3 +610,101 @@ class TestStopWordEntry:
         assert _entry(STOPWORD, "şi") == "şi"
         with pytest.raises(LexiconError, match="not a single word"):
             _entry(STOPWORD, "x²y")
+
+
+def canonical_words(rng, n):
+    """``n`` distinct canonical stop words of two to eight lowercase letters, some accented."""
+    words = set()
+    while len(words) < n:
+        letters = rng.choices("abcdefghijklmnopqrstuvwxyzàçéèíñóșțúü", k=rng.randint(2, 8))
+        words.add("".join(letters))
+    return sorted(words)
+
+
+@functools.cache
+def canonical_letters():
+    """Every code point that is a canonical diacritic, in code-point order."""
+    return tuple(chr(cp) for cp in range(sys.maxunicode + 1) if _is_canonical(DIACRITIC, chr(cp)))
+
+
+class TestBulkCheck:
+    """``_all_canonical`` is ``all(_is_canonical(...))``; the loader and constructor rely on it."""
+
+    def test_every_canonical_letter_at_once(self):
+        letters = list(canonical_letters())
+        random.Random(20261020).shuffle(letters)
+        assert _all_canonical(STOPWORD, letters) and _all_canonical(DIACRITIC, letters)
+
+    def test_separator_keeps_terms_apart(self):
+        # Joined without a separator, the two jamo would compose to "가".
+        assert _all_canonical(STOPWORD, ["ᄀ", "ᅡ"]) and _all_canonical(DIACRITIC, ["ᄀ", "ᅡ"])
+        # Both lowercase sigmas are canonical wherever they stand.
+        assert _all_canonical(STOPWORD, ["ας"]) and _all_canonical(STOPWORD, ["ας", "σα"])
+
+    @pytest.mark.parametrize("bad", ["", "a\nb", "Σ", "İ", "e\u0301", "\ud800"])
+    def test_one_bad_term_fails_the_list(self, bad):
+        for kind, left, right in BULK_NEIGHBOURS:
+            assert not _all_canonical(kind, [left, bad, right])
+            assert not _all_canonical(kind, [bad])
+
+    def test_empty(self):
+        assert _all_canonical(STOPWORD, []) and _all_canonical(DIACRITIC, frozenset())
+
+    @given(
+        st.sampled_from([STOPWORD, DIACRITIC]),
+        st.lists(
+            st.sampled_from(["le", "é", "a", "ς", "ᄀ", "ᅡ", "Σ", "İ", ""]) | st.text(max_size=3),
+            max_size=20,
+        ),
+    )
+    def test_agrees_with_the_predicate(self, kind, terms):
+        assert _all_canonical(kind, terms) == all(_is_canonical(kind, t) for t in terms)
+
+    def test_canonical_files_skip_the_per_term_checks(self, tmp_path, monkeypatch):
+        rng = random.Random(23)
+        lex = LexiconSet(
+            {
+                code: LanguageLexicon(frozenset(canonical_words(rng, 650)), frozenset(letters))
+                for code, letters in (("a", "éè"), ("b", "ñé"), ("c", "șț"))
+            }
+        )
+        save_lexicon(lex, tmp_path)
+        unpatched = load_lexicon(tmp_path)
+
+        def fail(*args):
+            raise AssertionError("per-term check on canonical input")
+
+        monkeypatch.setattr(lexicon, "_entry", fail)
+        monkeypatch.setattr(lexicon, "_is_canonical", fail)
+        patched = load_lexicon(tmp_path)
+        assert patched == unpatched == lex
+        assert patched._index == unpatched._index
+        assert patched.fingerprint() == unpatched.fingerprint()
+
+    def test_fallback_names_the_line_it_normalized(self, tmp_path, monkeypatch):
+        words = canonical_words(random.Random(3000), 3000)
+        words[2499] = "Le"
+        write_lexicon_dir(tmp_path, {"fr": (words, ["é"]), "it": (["di"], ["ì"])})
+        read = []
+        read_text = lexicon._read_text
+        monkeypatch.setattr(lexicon, "_read_text", lambda p: read.append(p) or read_text(p))
+        findings = []
+        lex = load_lexicon(tmp_path, warnings_to=findings)
+        assert sorted(read) == sorted(tmp_path.glob("*/*.txt"))  # each file once, the fallback too
+        path = tmp_path / "fr" / "stopwords.txt"
+        assert [f.message for f in findings] == [f"{path}:2500: normalized 'Le' to 'le'"]
+        assert lex.languages["fr"].stopwords == frozenset(words) - {"Le"} | {"le"}
+
+    def test_fallback_names_the_line_it_rejects(self, tmp_path):
+        words = canonical_words(random.Random(3000), 3000)
+        words[2499], words[2998] = "Le", "x²y"
+        write_lexicon_dir(tmp_path, {"fr": (words, ["é"]), "it": (["di"], ["ì"])})
+        message = f"{tmp_path / 'fr' / 'stopwords.txt'}:2999: stop word 'x²y' is not a single word"
+        with pytest.raises(LexiconError, match=re.escape(message)):
+            load_lexicon(tmp_path)
+
+    def test_constructor_names_the_bad_term(self):
+        diacritics = frozenset(canonical_letters()[:600]) | {"É"}
+        message = "language 'x': diacritic 'É' is not a single letter in lowercase NFC"
+        with pytest.raises(LexiconError, match=re.escape(message)):
+            LexiconSet({"x": LanguageLexicon(frozenset({"le"}), diacritics)})
