@@ -34,10 +34,10 @@ from pathlib import Path
 
 from . import lexicon
 from .lexicon import (
+    DIACRITIC,
     STOPWORD,
     UNDETERMINED,
     LexiconError,
-    _iter_terms,
     _read_entries,
     demo_lexicon_dir,
     load_lexicon,
@@ -222,7 +222,7 @@ def _cmd_dict(args: argparse.Namespace) -> int:
         return EXIT_OK
     # show-builtin-diacritics
     for lang_dir in sorted(p for p in demo_lexicon_dir().iterdir() if p.is_dir()):
-        letters = "".join(term for _, term in _iter_terms(lang_dir / "diacritics.txt"))
+        letters = "".join(_read_entries(lang_dir / "diacritics.txt", DIACRITIC))
         print(f"{lang_dir.name}\t{letters}", file=out)
     return EXIT_OK
 

@@ -16,11 +16,12 @@ Files are UTF-8, and lines end at ``\n``; a leading byte-order mark is
 ignored, surrounding whitespace is trimmed, and blank lines and lines
 starting with ``#`` are ignored.  A stop word is one normalized token
 (:func:`lexid.normalize.normalize_text`) and a diacritic one letter;
-both are lowercase and canonically composed (NFC).  The loader
-normalizes each entry itself and warns about any it had to change;
-:class:`LexiconSet` accepts only entries already in that form.  Both
-check each file or language set in bulk and walk term by term only one
-that fails, to name its first bad line or term.  The
+both are lowercase and canonically composed (NFC).  :func:`_entry` is
+the one normalizer of an entry and :func:`_all_canonical` the one check
+of that form.  :func:`_read_entries`, the one word-list reader, checks a
+file in bulk and walks only a file that fails, to normalize its entries
+and warn about each it changed; :class:`LexiconSet` rejects a set that
+fails, naming its first bad term.  The
 shipped ``data/demo`` lexicon holds the built-in diacritic sets of the
 five supported languages.  The tools that curate lexicons (accent
 folding, augmentation, validation, saving) are in :mod:`lexid.tooling`.
@@ -72,7 +73,7 @@ class LanguageLexicon(namedtuple("LanguageLexicon", "stopwords diacritics")):
     Both fields are ``frozenset[str]``.  Stop words must be single,
     lowercase, NFC-composed word tokens; diacritics must be single
     lowercase, NFC-composed letters.  Construct through
-    :class:`LexiconSet`, which enforces both.
+    :class:`LexiconSet`, which makes each field a frozenset and checks it.
     """
 
     __slots__ = ()
@@ -100,10 +101,9 @@ class LexiconSet:
     def __init__(self, languages: Mapping[str, LanguageLexicon]):
         if not languages:
             raise LexiconError("lexicon contains no languages")
-        self._languages = dict(languages)
-        self._codes = tuple(self._languages)
+        self._languages: dict[str, LanguageLexicon] = {}
         index: dict[str, dict[str, tuple[int, ...]]] = {STOPWORD: {}, DIACRITIC: {}}
-        for position, (code, lexicon) in enumerate(self._languages.items()):
+        for position, (code, lexicon) in enumerate(languages.items()):
             if not code:
                 raise LexiconError("empty language code")
             if code in (UNCLASSIFIED, UNDETERMINED):
@@ -118,16 +118,19 @@ class LexiconSet:
                 code.encode("utf-8")
             except UnicodeEncodeError:
                 raise LexiconError(f"language code {code!r} is not UTF-8 text") from None
+            # Frozensets, so that the bulk check and the walk see the same terms.
+            lexicon = self._languages[code] = LanguageLexicon._make(map(frozenset, lexicon))
             own = (position,)
             for kind, terms in ((STOPWORD, lexicon.stopwords), (DIACRITIC, lexicon.diacritics)):
                 if not _all_canonical(kind, terms):
-                    bad = next(term for term in terms if not _is_canonical(kind, term))
+                    bad = next(term for term in terms if not _all_canonical(kind, (term,)))
                     message = _NOT_CANONICAL[kind].format(bad)
                     raise LexiconError(f"language {code!r}: {message}")
                 kind_index = index[kind]
                 # Languages are walked in order, so each tuple stays ascending.
                 for term in terms:
                     kind_index[term] = kind_index.get(term, ()) + own
+        self._codes = tuple(self._languages)
         self._index = index
         self._all_diacritics = frozenset(index[DIACRITIC])
         self._fingerprint: str | None = None
@@ -198,8 +201,6 @@ def _entry(kind: str, term: str) -> str:
     token and a diacritic its lowercased NFC letter; a term without such
     a form raises :class:`LexiconError`.
     """
-    if _is_canonical(kind, term):
-        return term
     if kind == STOPWORD:
         tokens, _ = _tokens(term)
         if len(tokens) != 1:
@@ -220,21 +221,14 @@ _NOT_CANONICAL = {
 }
 
 
-def _is_canonical(kind: str, term: str) -> bool:
-    """Whether ``term`` is already its own :func:`_entry` of ``kind``."""
-    return (
-        term.isalpha()
-        and (kind == STOPWORD or len(term) == 1)
-        and unicodedata.normalize("NFC", term.lower()) == term
-    )
-
-
 def _all_canonical(kind: str, terms) -> bool:
-    """``all(_is_canonical(kind, t) for t in terms)``, in a few passes over the joined terms.
+    """Whether every term is its own :func:`_entry` of ``kind``, in a few whole-list passes.
 
-    Once the joined terms are all letters, no term holds a ``\n``; and a
-    ``\n`` neither composes nor is cased or case-ignorable, so lowering
-    and composing the lines at once equals doing it term by term.
+    A term is its own entry exactly when it is all letters, one letter
+    for a diacritic, and equal to its lowercased NFC form.  Once the
+    joined terms are all letters, no term holds a ``\n``; and a ``\n``
+    neither composes nor is cased or case-ignorable, so lowering and
+    composing the ``\n``-joined lines at once equals doing it term by term.
     """
     letters = "".join(terms)
     if "" in terms or not letters.isalpha() or (kind == DIACRITIC and len(letters) != len(terms)):
@@ -316,19 +310,6 @@ def _read_text(path: Path) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _iter_terms(path: Path):
-    """``(line number, term)`` of every entry line of a word-list file."""
-    return _numbered_terms(_read_text(path))
-
-
-def _numbered_terms(text: str):
-    """``(line number, term)`` of every entry line of a word-list file's text."""
-    for line_no, line in enumerate(text.split("\n"), 1):
-        term = line.strip()
-        if term and not term.startswith("#"):
-            yield line_no, term
-
-
 def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None = None) -> list[str]:
     """The :func:`_entry` of each entry line, in file order; errors and warnings name path:line.
 
@@ -340,7 +321,10 @@ def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None = Non
     if _all_canonical(kind, terms):
         return terms
     entries = []
-    for line_no, term in _numbered_terms(text):
+    for line_no, line in enumerate(text.split("\n"), 1):
+        term = line.strip()
+        if not term or term[0] == "#":
+            continue
         try:
             entry = _entry(kind, term)
         except LexiconError as exc:

@@ -5,6 +5,7 @@ import logging
 import multiprocessing
 import os
 import queue
+import shutil
 import subprocess
 import sys
 import threading
@@ -24,6 +25,14 @@ from test_evaluation import fork_with_failures, hostile_json_line, raising
 from test_lexicon import NOT_UTF8, write_lexicon_dir
 
 DEMO = str(demo_lexicon_dir())
+#: ``lexid dict show-builtin-diacritics`` on the shipped lexicon: each set in file order.
+BUILTIN_DIACRITICS = (
+    "es\táéíóúñü\n"
+    "fr\tàâæçèéêëîïôœùûü\n"
+    "it\tàáèéìíòóùú\n"
+    "pt\táâãàçéêíóôõú\n"
+    "ro\tăâîșşțţ\n"
+)
 SRC = str(Path(lexid.__file__).resolve().parents[1])
 
 
@@ -872,12 +881,22 @@ class TestDict:
         assert "normalized 'Le'" in out
 
     def test_show_builtin_diacritics(self, capsys):
-        code, out, _ = run(capsys, ["dict", "show-builtin-diacritics"])
-        assert code == 0
-        lines = out.splitlines()
-        assert len(lines) == 5
-        assert "fr\tàâæçèéêëîïôœùûü" in lines
-        assert "ro\tăâîșşțţ" in lines
+        assert run(capsys, ["dict", "show-builtin-diacritics"]) == (0, BUILTIN_DIACRITICS, "")
+
+    def test_show_builtin_diacritics_reads_entries_as_the_loader_does(
+        self, capsys, caplog, monkeypatch, tmp_path
+    ):
+        root = tmp_path / "demo"
+        shutil.copytree(DEMO, root)
+        path = root / "fr" / "diacritics.txt"
+        lines = path.read_text("utf-8").split("\n")
+        assert lines[5] == "é"
+        lines[5] = "É"
+        path.write_text("\n".join(lines), "utf-8")
+        monkeypatch.setattr("lexid.cli.demo_lexicon_dir", lambda: root)
+        with caplog.at_level(logging.WARNING):
+            assert run(capsys, ["dict", "show-builtin-diacritics"]) == (0, BUILTIN_DIACRITICS, "")
+        assert caplog.messages == [f"{path}:6: normalized 'É' to 'é'"]
 
     def test_show_builtin_diacritics_on_an_ascii_stdout(self, capsys):
         code, out, _ = run(capsys, ["dict", "show-builtin-diacritics"])

@@ -24,7 +24,7 @@ from lexid import (
     validate_lexicon,
 )
 from lexid import lexicon
-from lexid.lexicon import _all_canonical, _entry, _is_canonical
+from lexid.lexicon import _all_canonical, _entry
 from lexid.normalize import _tokens
 
 from _synth import random_instance
@@ -422,6 +422,27 @@ class TestConstructorInvariants:
         with pytest.raises(LexiconError):
             LexiconSet({})
 
+    def test_stores_each_field_as_a_frozenset(self):
+        # A string or a list of terms is checked and indexed as the set of its terms.
+        loose = LexiconSet(
+            {
+                "a": LanguageLexicon(["le", "de", "le"], "éè"),
+                "b": LanguageLexicon(("el", "de"), ["ñ", "é", "ñ"]),
+            }
+        )
+        frozen = LexiconSet(
+            {
+                "a": LanguageLexicon(frozenset({"le", "de"}), frozenset("éè")),
+                "b": LanguageLexicon(frozenset({"el", "de"}), frozenset("ñé")),
+            }
+        )
+        assert loose == frozen
+        assert loose._index == frozen._index
+        assert loose.fingerprint() == frozen.fingerprint()
+        for language in loose.languages.values():
+            assert type(language) is LanguageLexicon
+            assert all(type(field) is frozenset for field in language)
+
     def test_index_rebuild_is_identical(self, demo_lex):
         rebuilt = LexiconSet(dict(demo_lex.languages))
         for kind in (STOPWORD, DIACRITIC):
@@ -561,48 +582,40 @@ class TestValidate:
 
 
 def _tokenized_stop_word(term):
-    """``_entry(STOPWORD, term)`` without its shortcut, or None where it raises."""
+    """``term``'s single :func:`_tokens` token, or None where there is none."""
     tokens, _ = _tokens(term)
     return tokens[0] if len(tokens) == 1 else None
 
 
 def _folded_diacritic(term):
-    """``_entry(DIACRITIC, term)`` without its shortcut, or None where it raises."""
+    """``term`` as one lowercase NFC letter, or None where it is not one."""
     letter = unicodedata.normalize("NFC", term.lower())
     return letter if len(letter) == 1 and letter.isalpha() else None
 
 
-def _stop_word_entry(term):
-    try:
-        return _entry(STOPWORD, term)
-    except LexiconError:
-        return None
-
+#: Per kind, the canonical form ``_all_canonical`` must hold a term to.
+REFERENCE = {STOPWORD: _tokenized_stop_word, DIACRITIC: _folded_diacritic}
 
 #: Canonical neighbours for a term under test: a diacritic list needs single letters.
 BULK_NEIGHBOURS = ((STOPWORD, "le", "de"), (DIACRITIC, "é", "a"))
 
 
 class TestStopWordEntry:
-    """The canonical-form shortcut of ``_entry`` agrees with tokenizing."""
+    """``_all_canonical`` holds for exactly the terms that tokenizing or folding leaves unchanged."""
 
     def test_every_code_point(self):
         for cp in range(sys.maxunicode + 1):
             ch = chr(cp)
             # Two-letter words, and capitals whose lowercase may expand.
             for term in (ch, f"a{ch}", ch.upper()) if ch.isalpha() else (ch,):
-                tokenized = _tokenized_stop_word(term)
-                assert _stop_word_entry(term) == tokenized, hex(cp)
-                # The predicate holds exactly for the terms that are their own entry.
-                assert _is_canonical(STOPWORD, term) == (tokenized == term), hex(cp)
-                assert _is_canonical(DIACRITIC, term) == (_folded_diacritic(term) == term), hex(cp)
-                # The bulk check agrees with the predicate, term by term.
                 for kind, left, right in BULK_NEIGHBOURS:
-                    assert _all_canonical(kind, [left, term, right]) == _is_canonical(kind, term)
+                    canonical = REFERENCE[kind](term) == term
+                    assert _all_canonical(kind, (term,)) == canonical, (kind, hex(cp))
+                    assert _all_canonical(kind, [left, term, right]) == canonical, (kind, hex(cp))
 
-    @given(st.text(min_size=1, max_size=12))
-    def test_arbitrary_words(self, term):
-        assert _stop_word_entry(term) == _tokenized_stop_word(term)
+    @given(st.sampled_from([STOPWORD, DIACRITIC]), st.text(min_size=1, max_size=12))
+    def test_arbitrary_words(self, kind, term):
+        assert _all_canonical(kind, (term,)) == (REFERENCE[kind](term) == term)
 
     def test_examples(self):
         assert _entry(STOPWORD, "Le") == "le"
@@ -624,11 +637,11 @@ def canonical_words(rng, n):
 @functools.cache
 def canonical_letters():
     """Every code point that is a canonical diacritic, in code-point order."""
-    return tuple(chr(cp) for cp in range(sys.maxunicode + 1) if _is_canonical(DIACRITIC, chr(cp)))
+    return tuple(ch for ch in map(chr, range(sys.maxunicode + 1)) if _folded_diacritic(ch) == ch)
 
 
 class TestBulkCheck:
-    """``_all_canonical`` is ``all(_is_canonical(...))``; the loader and constructor rely on it."""
+    """``_all_canonical`` on a list equals checking its terms one by one; loading relies on it."""
 
     def test_every_canonical_letter_at_once(self):
         letters = list(canonical_letters())
@@ -658,7 +671,7 @@ class TestBulkCheck:
         ),
     )
     def test_agrees_with_the_predicate(self, kind, terms):
-        assert _all_canonical(kind, terms) == all(_is_canonical(kind, t) for t in terms)
+        assert _all_canonical(kind, terms) == all(REFERENCE[kind](t) == t for t in terms)
 
     def test_canonical_files_skip_the_per_term_checks(self, tmp_path, monkeypatch):
         rng = random.Random(23)
@@ -674,8 +687,14 @@ class TestBulkCheck:
         def fail(*args):
             raise AssertionError("per-term check on canonical input")
 
+        def bulk_only(kind, terms):
+            if len(terms) == 1:
+                fail()
+            return all_canonical(kind, terms)
+
+        all_canonical = lexicon._all_canonical
         monkeypatch.setattr(lexicon, "_entry", fail)
-        monkeypatch.setattr(lexicon, "_is_canonical", fail)
+        monkeypatch.setattr(lexicon, "_all_canonical", bulk_only)
         patched = load_lexicon(tmp_path)
         assert patched == unpatched == lex
         assert patched._index == unpatched._index
