@@ -38,6 +38,7 @@ from .lexicon import (
     STOPWORD,
     UNDETERMINED,
     LexiconError,
+    _DICTIONARIES,
     _read_entries,
     demo_lexicon_dir,
     load_lexicon,
@@ -222,7 +223,7 @@ def _cmd_dict(args: argparse.Namespace) -> int:
         return EXIT_OK
     # show-builtin-diacritics
     for lang_dir in sorted(p for p in demo_lexicon_dir().iterdir() if p.is_dir()):
-        letters = "".join(_read_entries(lang_dir / "diacritics.txt", DIACRITIC))
+        letters = "".join(_read_entries(lang_dir / _DICTIONARIES[DIACRITIC], DIACRITIC))
         print(f"{lang_dir.name}\t{letters}", file=out)
     return EXIT_OK
 

@@ -107,9 +107,9 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
 
     ``tsv`` lines are ``label<TAB>text`` (tabs after the first stay in
     the text); ``jsonl`` lines are objects with string fields ``label``
-    and ``text``.  Lines end at ``\n``; a ``\r`` before it is dropped, and
-    so is a UTF-8 byte-order mark at the start of the file, which leaves
-    a first line holding only the mark blank.
+    and ``text``.  Lines end at ``\n``; every ``\r`` a line ends with is
+    dropped, and so is a UTF-8 byte-order mark at the start of the file,
+    which leaves a first line holding only the mark blank.
     Labels are trimmed and lowercased, as
     :func:`~lexid.lexicon.load_lexicon` lowercases language directory
     names, so ``FR`` and ``fr`` name one language.  Lines that are not

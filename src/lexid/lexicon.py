@@ -7,7 +7,9 @@ the positions of the languages listing it, which is what the scoring in
 separate index namespaces, so a one-letter stop word such as ``y`` never
 collides with a diacritic character.
 
-On disk a lexicon is a directory with one subdirectory per language::
+On disk a lexicon is a directory with one subdirectory per language.
+Every reader and writer takes each dictionary's namespace and file
+name, in :class:`LanguageLexicon` field order, from ``_DICTIONARIES``::
 
     <root>/<lang>/stopwords.txt     one word per line
     <root>/<lang>/diacritics.txt    one character per line
@@ -21,10 +23,10 @@ the one normalizer of an entry and :func:`_all_canonical` the one check
 of that form.  :func:`_read_entries`, the one word-list reader, checks a
 file in bulk and walks only a file that fails, to normalize its entries
 and warn about each it changed; :class:`LexiconSet` rejects a set that
-fails, naming its first bad term.  The
-shipped ``data/demo`` lexicon holds the built-in diacritic sets of the
-five supported languages.  The tools that curate lexicons (accent
-folding, augmentation, validation, saving) are in :mod:`lexid.tooling`.
+fails, naming its least bad term.  The shipped ``data/demo`` lexicon
+holds the built-in diacritic sets of the five supported languages.  The
+tools that curate lexicons (accent folding, augmentation, validation,
+saving) are in :mod:`lexid.tooling`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from .normalize import _tokens
 # Term-index namespaces.
 STOPWORD = "stopword"
 DIACRITIC = "diacritic"
+
+#: Each dictionary's namespace and file name, in :class:`LanguageLexicon` field order.
+_DICTIONARIES = {STOPWORD: "stopwords.txt", DIACRITIC: "diacritics.txt"}
 
 # Labels for texts no language won; no language may use them as its code.
 #: Predicted-label bucket of an evaluation report.
@@ -87,10 +92,11 @@ class LexiconSet:
     not ``.`` or ``..``) so that saving and loading reproduces it, and
     may not be :data:`UNCLASSIFIED` or :data:`UNDETERMINED`, the labels
     of texts no language won.  Each language's two sets are checked in
-    bulk; only a set that fails is walked term by term, to name the
-    first bad term.  The private ``_index`` maps each term of a namespace
-    to the ascending positions, in :attr:`codes`, of the languages
-    listing it; it is the only cross-language view.
+    bulk, in ``_DICTIONARIES`` order; only a set that fails is walked, to
+    name its least bad term, the same one under any hash seed.  The
+    private ``_index`` maps each term of a namespace to the ascending
+    positions, in :attr:`codes`, of the languages listing it; it is the
+    only cross-language view.
     Immutable after construction, save what is stored on first use: the
     digest :meth:`fingerprint`, the diacritic pattern the raw-text path
     compiles, and one compiled function per config it has scored with,
@@ -102,7 +108,7 @@ class LexiconSet:
         if not languages:
             raise LexiconError("lexicon contains no languages")
         self._languages: dict[str, LanguageLexicon] = {}
-        index: dict[str, dict[str, tuple[int, ...]]] = {STOPWORD: {}, DIACRITIC: {}}
+        index: dict[str, dict[str, tuple[int, ...]]] = {kind: {} for kind in _DICTIONARIES}
         for position, (code, lexicon) in enumerate(languages.items()):
             if not code:
                 raise LexiconError("empty language code")
@@ -121,9 +127,9 @@ class LexiconSet:
             # Frozensets, so that the bulk check and the walk see the same terms.
             lexicon = self._languages[code] = LanguageLexicon._make(map(frozenset, lexicon))
             own = (position,)
-            for kind, terms in ((STOPWORD, lexicon.stopwords), (DIACRITIC, lexicon.diacritics)):
+            for kind, terms in zip(_DICTIONARIES, lexicon):
                 if not _all_canonical(kind, terms):
-                    bad = next(term for term in terms if not _all_canonical(kind, (term,)))
+                    bad = min(term for term in terms if not _all_canonical(kind, (term,)))
                     message = _NOT_CANONICAL[kind].format(bad)
                     raise LexiconError(f"language {code!r}: {message}")
                 kind_index = index[kind]
@@ -161,11 +167,9 @@ class LexiconSet:
 
             digest = hashlib.sha256()
             for code in sorted(self._languages):
-                lexicon = self._languages[code]
-                for word in sorted(lexicon.stopwords):
-                    digest.update(f"{code}\t{STOPWORD}\t{word}\n".encode())
-                for ch in sorted(lexicon.diacritics):
-                    digest.update(f"{code}\t{DIACRITIC}\t{ch}\n".encode())
+                for kind, terms in zip(_DICTIONARIES, self._languages[code]):
+                    for term in sorted(terms):
+                        digest.update(f"{code}\t{kind}\t{term}\n".encode())
             self._fingerprint = digest.hexdigest()[:16]
         return self._fingerprint
 
@@ -260,14 +264,12 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
         code = lang_dir.name.lower()
         if code in languages:
             raise LexiconError(f"duplicate language code {code!r} under {root}")
-        stopwords_path = lang_dir / "stopwords.txt"
-        diacritics_path = lang_dir / "diacritics.txt"
-        for path in (stopwords_path, diacritics_path):
+        paths = {kind: lang_dir / name for kind, name in _DICTIONARIES.items()}
+        for path in paths.values():
             if not path.is_file():
                 raise LexiconError(f"missing lexicon file {path}")
-        languages[code] = LanguageLexicon(
-            stopwords=frozenset(_read_entries(stopwords_path, STOPWORD, warnings_to)),
-            diacritics=frozenset(_read_entries(diacritics_path, DIACRITIC, warnings_to)),
+        languages[code] = LanguageLexicon._make(
+            frozenset(_read_entries(path, kind, warnings_to)) for kind, path in paths.items()
         )
 
     if not languages:
@@ -313,7 +315,8 @@ def _read_text(path: Path) -> str:
 def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None = None) -> list[str]:
     """The :func:`_entry` of each entry line, in file order; errors and warnings name path:line.
 
-    Only a file that fails the bulk check is walked line by line.
+    Only a file that fails the bulk check is walked line by line, and
+    :func:`_entry` runs only on a line that fails it alone, which it changes or rejects.
     """
     text = _read_text(path)
     terms = filter(None, map(str.strip, text.split("\n")))
@@ -325,13 +328,14 @@ def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None = Non
         term = line.strip()
         if not term or term[0] == "#":
             continue
-        try:
-            entry = _entry(kind, term)
-        except LexiconError as exc:
-            raise LexiconError(f"{path}:{line_no}: {exc}") from None
-        if entry != term:
+        if not _all_canonical(kind, (term,)):
+            try:
+                entry = _entry(kind, term)
+            except LexiconError as exc:
+                raise LexiconError(f"{path}:{line_no}: {exc}") from None
             _warn(f"{path}:{line_no}: normalized {term!r} to {entry!r}", warnings_to)
-        entries.append(entry)
+            term = entry
+        entries.append(term)
     return entries
 
 

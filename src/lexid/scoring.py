@@ -28,11 +28,11 @@ function, the weight table (one weight per number of listing
 languages), ``p`` and the fallback once, and prebuilds the verdict of
 each language winning.  The lexicon keeps one compiled function per
 config it has scored with, about 1.5 KB each; a pickled copy holds
-none.  The function adds each matched term into lists indexed by
-position, reading one map of token counts and one of character counts
-and only at the lexicon's terms, then picks the verdict with
-:func:`_verdict` and returns it with the scores as a list in lexicon
-order.
+none.  The function adds each dictionary's matched terms into a list
+indexed by position, with one sum that serves both dictionaries,
+reading one map of token counts and one of character counts and only
+at the lexicon's terms, then picks the verdict with :func:`_verdict`
+and returns it with the scores as a list in lexicon order.
 
 :func:`classify`, :func:`score_all` and :func:`_classify_text` each
 call that one function.  :func:`classify` and :func:`score_all` pass a
@@ -166,8 +166,6 @@ def _compile(lex: LexiconSet, cfg: ScoringConfig):
         raise LexiconError("classification requires at least 2 languages")
     stop_index = lex._index[STOPWORD]  # term -> positions of the languages listing it
     dia_index = lex._index[DIACRITIC]
-    stop_terms = stop_index.keys()
-    dia_terms = dia_index.keys()
     tf = _TF[cfg.tf_mode]
     weight = _WEIGHT[cfg.weight_mode]
     # The weight of a term listed by n languages, at index n; no term is listed by 0.
@@ -178,27 +176,27 @@ def _compile(lex: LexiconSet, cfg: ScoringConfig):
     zeros = [0.0] * n_languages
     verdicts = tuple(map(Verdict, lex.codes))
 
+    def sums(index: dict, freq: dict, matched: list) -> list[float]:
+        """Each language's sum of tf times weight over one dictionary's ``matched`` terms."""
+        # ``matched`` comes sorted: every language adds its terms in that order starting
+        # from 0.0, so each sum is reproducible across processes and runs.
+        total = zeros.copy()
+        for term in matched:
+            positions = index[term]
+            value = tf(freq[term]) * weights[len(positions)]
+            for i in positions:
+                total[i] += value
+        return total
+
     def verdict_scores(token_freq: dict, char_freq: dict) -> tuple[Verdict, list[float]]:
         """The verdict and every language's score, in lexicon order, with a shared effective p.
 
         ``token_freq`` counts a text's tokens and ``char_freq`` at least
         its diacritics; a key that is no term of the lexicon is never read.
         """
-        # Every language adds its matched terms in sorted term order starting
-        # from 0.0, so each sum is reproducible across processes and runs.
-        stop = zeros.copy()
-        for term in sorted(stop_terms & token_freq.keys()):
-            positions = stop_index[term]
-            value = tf(token_freq[term]) * weights[len(positions)]
-            for i in positions:
-                stop[i] += value
-        dia = zeros.copy()
-        matched = sorted(dia_terms & char_freq.keys())
-        for term in matched:
-            positions = dia_index[term]
-            value = tf(char_freq[term]) * weights[len(positions)]
-            for i in positions:
-                dia[i] += value
+        stop = sums(stop_index, token_freq, sorted(stop_index.keys() & token_freq.keys()))
+        matched = sorted(dia_index.keys() & char_freq.keys())
+        dia = sums(dia_index, char_freq, matched)
         p, q = mix if matched else no_diacritic_mix
         values = [p * s + q * d for s, d in zip(stop, dia)]
         return _verdict(values, verdicts), values

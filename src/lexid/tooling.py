@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from pathlib import Path
 
-from .lexicon import Finding, LanguageLexicon, LexiconSet
+from .lexicon import Finding, LanguageLexicon, LexiconSet, _DICTIONARIES
 
 # Accent-folding table used to derive plain-ASCII spellings of stop
 # words.  œ/æ fold to their two-letter expansions; anything not listed
@@ -98,13 +98,9 @@ def save_lexicon(lex: LexiconSet, root: str | Path) -> None:
     byte-identical trees.
     """
     root = Path(root)
-    for code in lex.codes:
+    for code, lexicon in lex.languages.items():
         lang_dir = root / code
         lang_dir.mkdir(parents=True, exist_ok=True)
-        lexicon = lex.languages[code]
-        (lang_dir / "stopwords.txt").write_text(
-            "".join(f"{w}\n" for w in sorted(lexicon.stopwords)), encoding="utf-8"
-        )
-        (lang_dir / "diacritics.txt").write_text(
-            "".join(f"{c}\n" for c in sorted(lexicon.diacritics)), encoding="utf-8"
-        )
+        for name, terms in zip(_DICTIONARIES.values(), lexicon):
+            lines = "".join(f"{term}\n" for term in sorted(terms))
+            (lang_dir / name).write_text(lines, encoding="utf-8")

@@ -3,8 +3,10 @@ import os
 import pickle
 import random
 import re
+import subprocess
 import sys
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -443,6 +445,28 @@ class TestConstructorInvariants:
             assert type(language) is LanguageLexicon
             assert all(type(field) is frozenset for field in language)
 
+    def test_names_the_least_bad_term_under_any_hash_seed(self):
+        # A frozenset's order follows the hash seed; the message must not.
+        script = (
+            "from lexid import LanguageLexicon, LexiconError, LexiconSet\n"
+            "try:\n"
+            "    LexiconSet({'x': LanguageLexicon({'le', 'La', 'Un', 'De', 'x y'}, ())})\n"
+            "except LexiconError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(lexicon.__file__).resolve().parents[1])
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in range(1, 7)
+        }
+        assert messages == {"language 'x': stop word 'De' is not a single normalized token\n"}
+
     def test_index_rebuild_is_identical(self, demo_lex):
         rebuilt = LexiconSet(dict(demo_lex.languages))
         for kind in (STOPWORD, DIACRITIC):
@@ -721,6 +745,23 @@ class TestBulkCheck:
         message = f"{tmp_path / 'fr' / 'stopwords.txt'}:2999: stop word 'x²y' is not a single word"
         with pytest.raises(LexiconError, match=re.escape(message)):
             load_lexicon(tmp_path)
+
+    def test_fallback_normalizes_only_the_lines_that_fail_alone(self, tmp_path, monkeypatch):
+        write_lexicon_dir(tmp_path, {"fr": (["le", "Le", "de", "la"], ["é"]), "it": (["di"], ["ì"])})
+        calls = []
+        entry = lexicon._entry
+
+        def counted(kind, term):
+            calls.append(term)
+            return entry(kind, term)
+
+        monkeypatch.setattr(lexicon, "_entry", counted)
+        findings = []
+        lex = load_lexicon(tmp_path, warnings_to=findings)
+        assert calls == ["Le"]
+        path = tmp_path / "fr" / "stopwords.txt"
+        assert [f.message for f in findings] == [f"{path}:2: normalized 'Le' to 'le'"]
+        assert lex.languages["fr"].stopwords == frozenset({"le", "de", "la"})
 
     def test_constructor_names_the_bad_term(self):
         diacritics = frozenset(canonical_letters()[:600]) | {"É"}

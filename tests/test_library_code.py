@@ -219,3 +219,29 @@ def test_evaluation_classifies_only_in_its_tally():
 
     visit(ast.parse(path.read_text("utf-8"), str(path)), None)
     assert callers == ["_tally"]
+
+
+def test_only_the_lexicon_module_names_the_word_list_files():
+    """``lexicon._DICTIONARIES`` holds the on-disk layout; every other module reads it there.
+
+    Docstrings, which describe the layout, may name the files too.
+    """
+    names = ("stopwords.txt", "diacritics.txt")
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        docstrings = {
+            ast.get_docstring(node, clean=False)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        found.extend(
+            (path.name, name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value not in docstrings
+            for name in names
+            if name in node.value
+        )
+    assert sorted(found) == [("lexicon.py", "diacritics.txt"), ("lexicon.py", "stopwords.txt")]
