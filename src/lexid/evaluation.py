@@ -26,6 +26,7 @@ import io
 import json
 import math
 import os
+import sys
 from collections import Counter, namedtuple
 from pathlib import Path
 
@@ -103,13 +104,13 @@ def _outcomes(matrix: ConfusionMatrix):
 
 
 def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
-    """Read a labeled corpus file.
+    r"""Read a labeled corpus file.
 
     ``tsv`` lines are ``label<TAB>text`` (tabs after the first stay in
     the text); ``jsonl`` lines are objects with string fields ``label``
     and ``text``.  Lines end at ``\n``; every ``\r`` a line ends with is
-    dropped, and so is a UTF-8 byte-order mark at the start of the file,
-    which leaves a first line holding only the mark blank.
+    dropped, and so is a UTF-8 byte-order mark at the start of any line,
+    so concatenated files load and a line holding only the mark is blank.
     Labels are trimmed and lowercased, as
     :func:`~lexid.lexicon.load_lexicon` lowercases language directory
     names, so ``FR`` and ``fr`` name one language.  Lines that are not
@@ -129,21 +130,20 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
     with open(path, "rb") as handle:
         for line_no, data in enumerate(handle, 1):
             data = data.rstrip(b"\r\n")
-            if not data or (line_no == 1 and data == codecs.BOM_UTF8):
+            if not data.removeprefix(codecs.BOM_UTF8):
                 continue
             total += 1
             try:
-                line = _decode(data)
-                label, text = parse(line.removeprefix("\ufeff") if line_no == 1 else line)
+                label, text = parse(_decode(data).removeprefix("\ufeff"))
             except ValueError as exc:  # its message says why the line is malformed
                 _warn(f"{path}:{line_no}: {exc}, skipped", logger=__name__)
                 malformed += 1
                 continue
-            label = label.strip()
+            label = sys.intern(label.strip().lower())
             if not label or not text.strip():
                 _warn(f"{path}:{line_no}: empty label or text, skipped", logger=__name__)
                 continue
-            documents.append(LabeledDocument(gold=label.lower(), text=text, id=len(documents)))
+            documents.append(LabeledDocument(gold=label, text=text, id=len(documents)))
     if total and malformed / total > MAX_MALFORMED_FRACTION:
         raise CorpusFormatError(
             f"{path}: {malformed} of {total} lines malformed"

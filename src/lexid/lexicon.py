@@ -1,4 +1,4 @@
-"""Per-language stop-word and diacritic dictionaries: their file format and term index.
+r"""Per-language stop-word and diacritic dictionaries: their file format and term index.
 
 A :class:`LexiconSet` bundles one :class:`LanguageLexicon` per language
 together with a cross-language term index: for every term it records
@@ -226,7 +226,7 @@ _NOT_CANONICAL = {
 
 
 def _all_canonical(kind: str, terms) -> bool:
-    """Whether every term is its own :func:`_entry` of ``kind``, in a few whole-list passes.
+    r"""Whether every term is its own :func:`_entry` of ``kind``, in a few whole-list passes.
 
     A term is its own entry exactly when it is all letters, one letter
     for a diacritic, and equal to its lowercased NFC form.  Once the

@@ -21,7 +21,7 @@ from lexid import PRESETS, classify, demo_lexicon_dir, load_lexicon, normalize_t
 from lexid.cli import main
 from lexid.evaluation import load_corpus
 
-from test_evaluation import fork_with_failures, hostile_json_line, raising
+from test_evaluation import concatenation, fork_with_failures, hostile_json_line, raising
 from test_lexicon import NOT_UTF8, write_lexicon_dir
 
 DEMO = str(demo_lexicon_dir())
@@ -109,6 +109,21 @@ class TestDetect:
         code, out, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test9", "--stdin"])
         assert code == 0
         assert out.splitlines() == ["a", "und", "b", "und", "a"]
+
+    def test_stdin_mark_at_a_later_line_start_changes_no_score(self, capsys, monkeypatch):
+        # The decoder keeps a mark past the start of the stream, and the
+        # text path ends a URL chunk at it, so the URL is still dropped.
+        outputs = []
+        for mark in ("", "\ufeff"):
+            data = f"le café\n{mark}http://x.co/le el\nla casa\n".encode()
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            argv = ["detect", "--lexicon", DEMO, "--preset", "test9", "--stdin", "--scores"]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        second = json.loads(outputs[0].splitlines()[1])
+        assert second["scores"]["fr"] == second["scores"]["it"] == 0.0
 
     def test_stdin_reader_closing_early_is_quiet(self, tmp_path, ab_dir):
         # Far more output than a pipe holds, so the CLI is still writing
@@ -780,6 +795,31 @@ class TestEvaluate:
         )
         assert code == 0
         assert "overall accuracy 100.00% over 2 documents" in err
+
+    @pytest.mark.parametrize("format", ["tsv", "jsonl"])
+    def test_concatenated_files_with_marks_report_as_without(self, capsys, tmp_path, format):
+        files = [
+            (b"\n", [("fr", "le château"), ("it", "la città")]),
+            (b"\r\n", [("es", "el niño"), ("PT", "a ação")]),
+            (b"\n", [("ro", "și țară"), ("fr", "zzz")]),
+        ]
+        reports = {}
+        for marked in (False, True):
+            path = tmp_path / f"joined-{marked}.{format}"
+            path.write_bytes(concatenation(format, [(marked, end, lines) for end, lines in files]))
+            for jobs in ("1", "2"):
+                for report in ("table", "csv", "json"):
+                    out_path = tmp_path / f"{marked}-{jobs}.{report}"
+                    code, _, err = run(
+                        capsys,
+                        ["evaluate", "--lexicon", DEMO, "--corpus", str(path), "--format", format,
+                         "--preset", "test9", "--jobs", jobs, "--report", report,
+                         "--out", str(out_path)],
+                    )
+                    assert (code, "over 6 documents" in err) == (0, True), err
+                    reports[marked, jobs, report] = out_path.read_bytes()
+        for (_, _, report), data in reports.items():
+            assert data == reports[False, "1", report]
 
     def test_single_language_lexicon(self, capsys, tmp_path):
         root = tmp_path / "single"

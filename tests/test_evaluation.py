@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import json
 import logging
@@ -10,6 +11,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lexid import (
     ConfusionMatrix,
@@ -41,6 +43,62 @@ def hostile_json_line(kind):
     if not limit:
         pytest.skip("this interpreter has no integer digit limit")
     return '{"label": "a", "text": "x", "n": ' + "1" * (limit + 1) + "}"
+
+
+def corpus_line(format, label, text):
+    if format == "tsv":
+        return f"{label}\t{text}"
+    return json.dumps({"label": label, "text": text}, ensure_ascii=False)
+
+
+def concatenation(format, parts):
+    """The bytes of corpus files ``parts`` written one after another.
+
+    Each part is ``(marked, line_end, [(label, text), ...])``: whether the
+    file starts with a byte-order mark, and how its lines end.
+    """
+    return b"".join(
+        (codecs.BOM_UTF8 if marked else b"")
+        + b"".join(corpus_line(format, label, text).encode() + end for label, text in lines)
+        for marked, end, lines in parts
+    )
+
+
+#: Corpus files of one or two documents each; texts hold no line end.
+corpus_parts = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.sampled_from([b"\n", b"\r\n"]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["fr", "IT", " es ", "Pt"]),
+                st.text(
+                    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                    min_size=1,
+                    max_size=12,
+                ).filter(str.strip),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@contextlib.contextmanager
+def evaluation_warnings():
+    """Collect the records ``lexid.evaluation`` logs in the block."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("lexid.evaluation")
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
 
 
 class TestLoadCorpusTsv:
@@ -85,6 +143,11 @@ class TestLoadCorpusTsv:
         content = "FR\tun\n It \tdue\n"
         docs = load_corpus(write(tmp_path / "c.tsv", content), "tsv")
         assert [d.gold for d in docs] == ["fr", "it"]
+
+    def test_documents_of_one_language_share_one_label_string(self, tmp_path):
+        docs = load_corpus(write(tmp_path / "c.tsv", "FR\tun\n fr\tdeux\n"), "tsv")
+        assert docs[0].gold == "fr"
+        assert docs[0].gold is docs[1].gold
 
     def test_invalid_utf8_line_is_skipped_and_counted(self, tmp_path, caplog):
         path = tmp_path / "c.tsv"
@@ -171,6 +234,47 @@ class TestLoadCorpusJsonl:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             load_corpus(write(tmp_path / "c.x", "x"), "csv")
+
+
+class TestConcatenatedCorpora:
+    """A byte-order mark at the start of any line is dropped, so joined files load."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("concatenated")
+
+    @given(format=st.sampled_from(["tsv", "jsonl"]), parts=corpus_parts)
+    def test_loads_as_its_parts(self, folder, format, parts):
+        path = folder / f"joined.{format}"
+        path.write_bytes(concatenation(format, parts))
+        with evaluation_warnings() as records:
+            docs = load_corpus(path, format)
+        expected = [
+            (label.strip().lower(), text) for _, _, lines in parts for label, text in lines
+        ]
+        assert [(doc.gold, doc.text) for doc in docs] == expected
+        assert records == []
+
+    @pytest.mark.parametrize("format", ["tsv", "jsonl"])
+    def test_mark_alone_on_a_later_line_is_blank(self, tmp_path, caplog, format):
+        path = tmp_path / f"c.{format}"
+        line = corpus_line(format, "fr", "le").encode()
+        path.write_bytes(line + b"\n" + codecs.BOM_UTF8 + b"\r\n" + codecs.BOM_UTF8 + line + b"\n")
+        with caplog.at_level(logging.WARNING, logger="lexid.evaluation"):
+            docs = load_corpus(path, format)
+        assert docs == [LabeledDocument("fr", "le", 0), LabeledDocument("fr", "le", 1)]
+        assert caplog.records == []
+
+    def test_invalid_utf8_offset_counts_a_later_mark(self, tmp_path, caplog):
+        path = tmp_path / "c.tsv"
+        good = "".join(f"fr\ttexte {i}\n" for i in range(10)).encode()
+        path.write_bytes(good + codecs.BOM_UTF8 + b"fr\tcaf\xe9\n")
+        with caplog.at_level(logging.WARNING, logger="lexid.evaluation"):
+            docs = load_corpus(path, "tsv")
+        assert len(docs) == 10
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:11: invalid UTF-8 at byte 10, skipped"
+        ]
 
 
 def make_corpus(pairs):

@@ -187,6 +187,9 @@ class TestLoadAndSave:
             listed = (demo_lexicon_dir() / code / "diacritics.txt").read_text("utf-8").split()
             assert demo_lex.languages[code].diacritics == frozenset(listed)
 
+    def test_repr_names_the_codes(self, demo_lex):
+        assert repr(demo_lex) == "LexiconSet(es, fr, it, pt, ro)"
+
     def test_single_language_loads(self, tmp_path):
         write_lexicon_dir(tmp_path, {"fr": (["le"], ["é"])})
         lex = load_lexicon(tmp_path)

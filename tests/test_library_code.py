@@ -7,11 +7,14 @@ keeps, and the scoring module reads the index, its
 mode tables and the config's fields only where it compiles a scorer;
 only the tokenizer finds letter runs; the CLI and the evaluation both
 classify raw text through the one path that counts it chunk by chunk,
-which compiles what it needs itself; and the evaluation calls that path
-only where it counts the documents it is handed.
+which compiles what it needs itself; the evaluation calls that path
+only where it counts the documents it is handed; the corpus loader
+reads every line by one rule; and no docstring holds a line break or a
+carriage return where it means the escape sequence.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import lexid
@@ -245,3 +248,51 @@ def test_only_the_lexicon_module_names_the_word_list_files():
             if name in node.value
         )
     assert sorted(found) == [("lexicon.py", "diacritics.txt"), ("lexicon.py", "stopwords.txt")]
+
+
+def test_corpus_lines_are_read_by_one_rule():
+    """``load_corpus`` reads ``line_no`` only inside the f-strings of its warnings.
+
+    So no line is treated by its position, and a reader of a byte range,
+    which cannot tell whether it starts at line 1, can share the rule.
+    """
+    path = next(path for path in SOURCES if path.name == "evaluation.py")
+    [function] = [
+        node
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "load_corpus"
+    ]
+
+    def reads(node):
+        return sorted(
+            child.lineno
+            for child in ast.walk(node)
+            if isinstance(child, ast.Name) and child.id == "line_no"
+            and isinstance(child.ctx, ast.Load)
+        )
+
+    def reads_under(kind):
+        return sorted(
+            line for node in ast.walk(function) if isinstance(node, kind) for line in reads(node)
+        )
+
+    assert reads_under(ast.Compare) == []
+    assert reads_under(ast.JoinedStr) == reads(function) != []
+
+
+def test_no_docstring_holds_a_carriage_return_or_a_line_break_literal():
+    """A docstring that names ``\\n`` or ``\\r`` spells the escape, as ``help()`` shows it.
+
+    In a docstring that is not a raw string, ``\\n`` between double
+    backticks is a real line break, and ``\\r`` a carriage return.
+    """
+    found = [
+        f"{path.name}:{getattr(node, 'name', '<module>')}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path)))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        for doc in [ast.get_docstring(node, clean=False) or ""]
+        if "\r" in doc or re.search(r"``[\r\n]+``", doc)
+    ]
+    assert SOURCES
+    assert found == []
