@@ -6,9 +6,10 @@ worker that exited before sending its counts (as one the system killed
 for memory does), 3 lexicon validation failure (a language code that is
 not UTF-8 text included), 4 corpus rejected for too many malformed
 lines.  ``detect --stdin`` and ``detect --file`` classify one text per
-line, decoded as UTF-8 whatever the interpreter's stdio encoding; a
-byte-order mark at the start of the input is dropped, and lines end only
-at ``\\n``, so a lone ``\\r`` stays inside its line.  Every command
+line, decoded as UTF-8 whatever the interpreter's stdio encoding, and
+lines end only at ``\\n``, so a lone ``\\r`` stays inside its line.  A
+byte-order mark at the start of any line of a corpus or word list is
+ignored, and in ``detect`` a U+FEFF separates tokens.  Every command
 writes stdout as UTF-8 whatever the locale.  A reader that closes stdout
 early, as in ``lexid detect --stdin | head -1``, ends the run quietly
 with exit 0; a command started with the stdin or stdout it needs closed
@@ -140,10 +141,10 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         import json
 
     # Both line sources decode as UTF-8 whatever the interpreter's stdio
-    # settings: a byte-order mark at the start of the input is dropped, an
-    # invalid byte becomes a lone surrogate, which separates tokens, and a
-    # lone \r stays inside its line.
-    decoding = {"encoding": "utf-8-sig", "errors": "surrogateescape", "newline": "\n"}
+    # settings.  A U+FEFF, a byte-order mark included, separates tokens, as
+    # does an invalid byte, which becomes a lone surrogate; a lone \r stays
+    # inside its line.
+    decoding = {"encoding": "utf-8", "errors": "surrogateescape", "newline": "\n"}
     with contextlib.ExitStack() as stack:
         if args.stdin:
             lines = io.TextIOWrapper(_std("stdin").buffer, **decoding)

@@ -301,15 +301,10 @@ def emit_report(report: EvaluationReport, format: str) -> bytes:
     CONFUSION sections with raw counts and exact rates; ``json`` is the
     full report, round-trippable without loss.
     """
-    if format == "table":
-        text = _emit_table(report)
-    elif format == "csv":
-        text = _emit_csv(report)
-    elif format == "json":
-        text = _emit_json(report)
-    else:
+    emit = {"table": _emit_table, "csv": _emit_csv, "json": _emit_json}.get(format)
+    if emit is None:
         raise ValueError(f"unknown report format {format!r}")
-    return text.encode("utf-8")
+    return emit(report).encode("utf-8")
 
 
 def _column_percentages(values: list[int], total: int) -> list[float]:

@@ -14,19 +14,19 @@ name, in :class:`LanguageLexicon` field order, from ``_DICTIONARIES``::
     <root>/<lang>/stopwords.txt     one word per line
     <root>/<lang>/diacritics.txt    one character per line
 
-Files are UTF-8, and lines end at ``\n``; a leading byte-order mark is
-ignored, surrounding whitespace is trimmed, and blank lines and lines
-starting with ``#`` are ignored.  A stop word is one normalized token
-(:func:`lexid.normalize.normalize_text`) and a diacritic one letter;
-both are lowercase and canonically composed (NFC).  :func:`_entry` is
-the one normalizer of an entry and :func:`_all_canonical` the one check
-of that form.  :func:`_read_entries`, the one word-list reader, checks a
-file in bulk and walks only a file that fails, to normalize its entries
-and warn about each it changed; :class:`LexiconSet` rejects a set that
-fails, naming its least bad term.  The shipped ``data/demo`` lexicon
-holds the built-in diacritic sets of the five supported languages.  The
-tools that curate lexicons (accent folding, augmentation, validation,
-saving) are in :mod:`lexid.tooling`.
+Files are UTF-8, and lines end at ``\n``; as in a corpus, a byte-order
+mark at the start of any line is ignored, surrounding whitespace is
+trimmed, and blank lines and lines starting with ``#`` are ignored.  A
+stop word is one normalized token (:func:`lexid.normalize.normalize_text`)
+and a diacritic one letter; both are lowercase and canonically composed
+(NFC).  :func:`_entry` is the one normalizer of an entry and
+:func:`_all_canonical` the one check of that form.  :func:`_read_entries`,
+the one word-list reader, checks a file in bulk and walks only a file
+that fails, to normalize its entries and warn about each it changed;
+:class:`LexiconSet` rejects a set that fails, naming its least bad term.
+The shipped ``data/demo`` lexicon holds the built-in diacritic sets of
+the five supported languages.  The tools that curate lexicons (accent
+folding, augmentation, validation, saving) are in :mod:`lexid.tooling`.
 """
 
 from __future__ import annotations
@@ -268,9 +268,8 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
         for path in paths.values():
             if not path.is_file():
                 raise LexiconError(f"missing lexicon file {path}")
-        languages[code] = LanguageLexicon._make(
-            frozenset(_read_entries(path, kind, warnings_to)) for kind, path in paths.items()
-        )
+        entries = (_read_entries(path, kind, warnings_to) for kind, path in paths.items())
+        languages[code] = LanguageLexicon._make(entries)
 
     if not languages:
         raise LexiconError(f"no language directories under {root}")
@@ -299,7 +298,10 @@ def _warn(message: str, warnings_to: list[Finding] | None = None, logger: str = 
 
 
 def _read_text(path: Path) -> str:
-    """The text of a word-list file, without a leading byte-order mark."""
+    """The text of a word-list file, without a byte-order mark at the start of any line.
+
+    Decoding first keeps an invalid byte's offset counting a mark's bytes, as in a corpus.
+    """
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")
@@ -309,7 +311,7 @@ def _read_text(path: Path) -> str:
         raise LexiconError(
             f"{path}:{line_no}: invalid UTF-8 at byte {exc.start - line_start + 1}"
         ) from None
-    return text.removeprefix("\ufeff")
+    return text.removeprefix("\ufeff").replace("\n\ufeff", "\n")
 
 
 def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None = None) -> list[str]:

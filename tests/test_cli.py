@@ -22,7 +22,7 @@ from lexid.cli import main
 from lexid.evaluation import load_corpus
 
 from test_evaluation import concatenation, fork_with_failures, hostile_json_line, raising
-from test_lexicon import NOT_UTF8, write_lexicon_dir
+from test_lexicon import NOT_UTF8, word_list, write_lexicon_dir
 
 DEMO = str(demo_lexicon_dir())
 #: ``lexid dict show-builtin-diacritics`` on the shipped lexicon: each set in file order.
@@ -125,6 +125,17 @@ class TestDetect:
         second = json.loads(outputs[0].splitlines()[1])
         assert second["scores"]["fr"] == second["scores"]["it"] == 0.0
 
+    def test_file_mark_at_a_later_line_start_changes_no_score(self, capsys, tmp_path):
+        outputs = []
+        for mark in ("", "\ufeff"):
+            src = tmp_path / "lines.txt"
+            src.write_text(f"le café\n{mark}http://x.co/le el\nla casa\n", encoding="utf-8")
+            argv = ["detect", "--lexicon", DEMO, "--preset", "test9", "--file", str(src)]
+            code, out, _ = run(capsys, argv + ["--scores"])
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_stdin_reader_closing_early_is_quiet(self, tmp_path, ab_dir):
         # Far more output than a pipe holds, so the CLI is still writing
         # when the reader goes away after the first line.
@@ -202,8 +213,9 @@ class TestDetect:
         assert by_file.stdout == by_stdin.stdout == b"a\nb\nund\nund\nb\n"
 
     def test_file_and_stdin_agree_on_byte_order_mark(self, tmp_path):
-        # A URL right after a kept U+FEFF would not be dropped, and its
-        # "le" would score fr and it.
+        # The text path ends a URL chunk at U+FEFF, so the URL after the
+        # mark is dropped whether or not the decoder keeps the mark, and its
+        # "le" scores neither fr nor it.
         plain = "http://x.co/le el\nle café\n".encode()
         argv = [sys.executable, "-m", "lexid.cli", "detect", "--scores"]
         argv += ["--lexicon", DEMO, "--preset", "test9"]
@@ -844,6 +856,53 @@ class TestEvaluate:
         )
         assert code == 1
         assert "gold labels" in err
+
+
+@pytest.fixture()
+def marked_lexicons(tmp_path):
+    """Two copies of one lexicon, the second with its word lists joined from marked files."""
+    files = {
+        "a": ([(True, "\n", ["le", "la"]), (True, "\r\n", ["de"]), (True, "\n", [])],
+              [(True, "\n", ["é"]), (True, "\r\n", ["è"])]),
+        "b": ([(False, "\n", ["el"]), (True, "\n", ["la", "ñu"])], [(True, "\r\n", ["ñ"])]),
+    }
+    roots = []
+    for marked in (False, True):
+        root = tmp_path / f"marked-{marked}"
+        for code, lists in files.items():
+            (root / code).mkdir(parents=True)
+            for name, parts in zip(("stopwords.txt", "diacritics.txt"), lists):
+                parts = [(mark and marked, end, lines) for mark, end, lines in parts]
+                (root / code / name).write_bytes(word_list(parts))
+        roots.append(root)
+    return roots
+
+
+class TestMarkedWordLists:
+    """A lexicon joined from files that start with a byte-order mark works as one without."""
+
+    def test_detect(self, capsys, marked_lexicons):
+        outputs = []
+        for root in marked_lexicons:
+            argv = ["detect", "--lexicon", str(root), "--preset", "test9", "--scores", "le café"]
+            outputs.append(run(capsys, argv))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0] == 0
+
+    def test_validate_finds_nothing_to_normalize(self, capsys, marked_lexicons):
+        outputs = [run(capsys, ["dict", "validate", "--lexicon", str(root)])
+                   for root in marked_lexicons]
+        assert outputs[0] == outputs[1]
+        assert "normalized" not in outputs[1][1]
+
+    def test_strip_writes_the_same_bytes(self, capsys, marked_lexicons):
+        written = []
+        for root in marked_lexicons:
+            out = root / "stripped.txt"
+            argv = ["dict", "strip", "--in", str(root / "a" / "stopwords.txt"), "--out", str(out)]
+            assert run(capsys, argv) == (0, "", "")
+            written.append(out.read_bytes())
+        assert written[0] == written[1] == b"le\nla\nde\n"
 
 
 class TestDict:

@@ -3,6 +3,7 @@ import os
 import pickle
 import random
 import re
+import shutil
 import subprocess
 import sys
 import unicodedata
@@ -43,6 +44,27 @@ def write_lexicon_dir(root, languages):
         d.mkdir(parents=True)
         (d / "stopwords.txt").write_text("".join(f"{w}\n" for w in stopwords), "utf-8")
         (d / "diacritics.txt").write_text("".join(f"{c}\n" for c in diacritics), "utf-8")
+
+
+def word_list(parts):
+    """The bytes of word-list files ``parts`` written one after another.
+
+    Each part is ``(marked, line_end, lines)``: whether the file starts
+    with a byte-order mark, how its lines end, and its lines.  A part
+    with no lines is one blank line, so a marked one is the mark alone.
+    """
+    return "".join(
+        ("\ufeff" if marked else "") + "".join(line + end for line in lines or [""])
+        for marked, end, lines in parts
+    ).encode()
+
+
+def word_list_parts(lines):
+    """Word-list files of up to two of ``lines`` each, as :func:`word_list` takes them."""
+    part = st.tuples(
+        st.booleans(), st.sampled_from(["\n", "\r\n"]), st.lists(lines, max_size=2)
+    )
+    return st.lists(part, min_size=1, max_size=3)
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +261,13 @@ class TestLoadAndSave:
         with pytest.raises(LexiconError, match=r"stopwords\.txt:2: invalid UTF-8 at byte 1"):
             load_lexicon(tmp_path)
 
+    def test_invalid_utf8_offset_counts_a_later_mark(self, tmp_path):
+        write_lexicon_dir(tmp_path, {"fr": (["le"], ["é"])})
+        with open(tmp_path / "fr" / "stopwords.txt", "ab") as handle:
+            handle.write(b"\xef\xbb\xbfl\xffe\n")
+        with pytest.raises(LexiconError, match=r"stopwords\.txt:2: invalid UTF-8 at byte 5"):
+            load_lexicon(tmp_path)
+
     def test_missing_file(self, tmp_path):
         (tmp_path / "fr").mkdir()
         (tmp_path / "fr" / "stopwords.txt").write_text("le\n", "utf-8")
@@ -324,6 +353,33 @@ class TestLoadAndSave:
         first = lex.fingerprint()
         monkeypatch.setattr("hashlib.sha256", None)  # a second hashing would fail
         assert lex.fingerprint() is first
+
+
+class TestConcatenatedWordLists:
+    """A byte-order mark at the start of any line is dropped, so joined word lists load."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("concatenated")
+
+    @given(
+        stopwords=word_list_parts(st.sampled_from(["le", "de", "# list", "già", "și"])),
+        diacritics=word_list_parts(st.sampled_from(["é", "ñ", "ș"])),
+    )
+    def test_loads_as_the_unmarked_files(self, folder, stopwords, diacritics):
+        loaded = []
+        for marked in (True, False):
+            root = folder / str(marked)
+            shutil.rmtree(root, ignore_errors=True)
+            write_lexicon_dir(root, {"fr": ([], []), "it": (["di"], ["ì"])})
+            for name, parts in (("stopwords.txt", stopwords), ("diacritics.txt", diacritics)):
+                parts = [(mark and marked, end, lines) for mark, end, lines in parts]
+                (root / "fr" / name).write_bytes(word_list(parts))
+            findings = []
+            loaded.append(load_lexicon(root, warnings_to=findings))
+            assert findings == []
+        assert loaded[0] == loaded[1]
+        assert loaded[0].fingerprint() == loaded[1].fingerprint()
 
 
 class TestConstructorInvariants:

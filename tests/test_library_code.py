@@ -9,11 +9,13 @@ only the tokenizer finds letter runs; the CLI and the evaluation both
 classify raw text through the one path that counts it chunk by chunk,
 which compiles what it needs itself; the evaluation calls that path
 only where it counts the documents it is handed; the corpus loader
-reads every line by one rule; and no docstring holds a line break or a
+reads every line by one rule; no reader drops a byte-order mark only at
+the start of its input; and no docstring holds a line break or a
 carriage return where it means the escape sequence.
 """
 
 import ast
+import codecs
 import re
 from pathlib import Path
 
@@ -278,6 +280,30 @@ def test_corpus_lines_are_read_by_one_rule():
 
     assert reads_under(ast.Compare) == []
     assert reads_under(ast.JoinedStr) == reads(function) != []
+
+
+def test_no_module_names_the_utf_8_sig_codec():
+    """A byte-order mark is dropped at the start of any line, or separates tokens.
+
+    The ``utf-8-sig`` codec drops one only at the start of its input,
+    which would be a second rule.
+    """
+
+    def is_utf_8_sig(value):
+        try:
+            return codecs.lookup(value).name == "utf-8-sig"
+        except (LookupError, ValueError):  # not a codec name, or one holding a NUL
+            return False
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and is_utf_8_sig(node.value)
+    ]
+    assert SOURCES
+    assert found == []
 
 
 def test_no_docstring_holds_a_carriage_return_or_a_line_break_literal():
