@@ -34,14 +34,19 @@ from .scoring import (
 
 __version__ = "0.1.0"
 
+# The names loaded from another module on first use (PEP 562), each with
+# its module, so that a program that only classifies texts imports neither
+# the lexicon tooling nor the evaluation.
+_LAZY = {
+    **dict.fromkeys(["FOLDING_TABLE", "augment_with_stripped_variants", "save_lexicon",
+                     "strip_diacritics", "validate_lexicon"], "tooling"),
+    **dict.fromkeys(["ConfusionMatrix", "CorpusFormatError", "EvaluationReport",
+                     "LabeledDocument", "emit_report", "evaluate", "load_corpus"], "evaluation"),
+}
+
 __all__ = [
-    "ConfusionMatrix",
-    "CorpusFormatError",
     "DIACRITIC",
-    "EvaluationReport",
-    "FOLDING_TABLE",
     "Finding",
-    "LabeledDocument",
     "LanguageLexicon",
     "LexiconError",
     "LexiconSet",
@@ -54,31 +59,14 @@ __all__ = [
     "TIE_REL_TOL",
     "UNCLASSIFIED",
     "Verdict",
-    "augment_with_stripped_variants",
     "classify",
     "demo_lexicon_dir",
-    "emit_report",
-    "evaluate",
-    "load_corpus",
     "load_lexicon",
     "normalize_text",
     "preset_config",
-    "save_lexicon",
     "score_all",
-    "strip_diacritics",
-    "validate_lexicon",
+    *_LAZY,
 ]
-
-
-# Each name in __all__ that the imports above leave unbound, and the module
-# it is loaded from on first use (PEP 562), so that a program that only
-# classifies texts imports neither the lexicon tooling nor the evaluation.
-_LAZY = {
-    **dict.fromkeys(["FOLDING_TABLE", "augment_with_stripped_variants", "save_lexicon",
-                     "strip_diacritics", "validate_lexicon"], "tooling"),
-    **dict.fromkeys(["ConfusionMatrix", "CorpusFormatError", "EvaluationReport",
-                     "LabeledDocument", "emit_report", "evaluate", "load_corpus"], "evaluation"),
-}
 
 
 def __getattr__(name: str):

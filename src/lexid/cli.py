@@ -8,12 +8,12 @@ not UTF-8 text included), 4 corpus rejected for too many malformed
 lines.  ``detect --stdin`` and ``detect --file`` classify one text per
 line, decoded as UTF-8 whatever the interpreter's stdio encoding, and
 lines end only at ``\\n``, so a lone ``\\r`` stays inside its line.  A
-byte-order mark at the start of any line of a corpus or word list is
-ignored, and in ``detect`` a U+FEFF separates tokens.  Every command
-writes stdout as UTF-8 whatever the locale.  A reader that closes stdout
-early, as in ``lexid detect --stdin | head -1``, ends the run quietly
-with exit 0; a command started with the stdin or stdout it needs closed
-exits 2.
+run of byte-order marks at the start of any line of a corpus or word
+list is ignored, and in ``detect`` a U+FEFF separates tokens.  Every
+command writes stdout as UTF-8 whatever the locale.  A reader that
+closes stdout early, as in ``lexid detect --stdin | head -1``, ends the
+run quietly with exit 0; a command started with the stdin or stdout it
+needs closed exits 2.
 Results go to stdout, logs and summaries to stderr; a warning is one
 ``WARNING: <message>`` line.  ``--lexicon`` defaults to the
 ``LID_LEXICON`` environment variable.  The evaluation code is imported
@@ -103,12 +103,13 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
         return preset_config(args.preset)
     if args.p is None:
         raise UsageError("lexid: error: either --preset or --p is required")
+    # Only the modes given, so that ScoringConfig alone holds their defaults.
+    modes = {"tf_mode": args.tf, "weight_mode": args.weight}
     try:
         return ScoringConfig(
             p=args.p,
-            tf_mode=args.tf or "raw",
-            weight_mode=args.weight or "unit",
             stopword_fallback=True if args.fallback is None else args.fallback,
+            **{field: mode for field, mode in modes.items() if mode is not None},
         )
     except ValueError as exc:
         raise UsageError(f"lexid: error: {exc}") from None

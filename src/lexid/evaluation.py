@@ -21,7 +21,6 @@ written, and :mod:`logging` only when a corpus line is skipped.
 
 from __future__ import annotations
 
-import codecs
 import io
 import json
 import math
@@ -109,9 +108,9 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
     ``tsv`` lines are ``label<TAB>text`` (tabs after the first stay in
     the text); ``jsonl`` lines are objects with string fields ``label``
     and ``text``.  Lines end at ``\n``; every ``\r`` a line ends with is
-    dropped, and so is a UTF-8 byte-order mark at the start of any line,
-    so concatenated files load and a line holding only the mark is blank.
-    Labels are trimmed and lowercased, as
+    dropped, and a run of byte-order marks at the start of any line is
+    ignored, so concatenated files load and a line holding only marks is
+    blank.  Labels are trimmed and lowercased, as
     :func:`~lexid.lexicon.load_lexicon` lowercases language directory
     names, so ``FR`` and ``fr`` name one language.  Lines that are not
     valid UTF-8 or are structurally malformed, JSON that nests deeper
@@ -125,25 +124,26 @@ def load_corpus(path: str | Path, format: str) -> list[LabeledDocument]:
     if parse is None:
         raise ValueError(f"unknown corpus format {format!r}")
     documents: list[LabeledDocument] = []
-    malformed = 0
-    total = 0
+    malformed = parsed = 0
     with open(path, "rb") as handle:
         for line_no, data in enumerate(handle, 1):
-            data = data.rstrip(b"\r\n")
-            if not data.removeprefix(codecs.BOM_UTF8):
-                continue
-            total += 1
             try:
-                label, text = parse(_decode(data).removeprefix("\ufeff"))
+                # Decoding first keeps an invalid byte's offset counting the marks' bytes.
+                line = _decode(data.rstrip(b"\r\n")).lstrip("\ufeff")
+                if not line:
+                    continue
+                label, text = parse(line)
             except ValueError as exc:  # its message says why the line is malformed
                 _warn(f"{path}:{line_no}: {exc}, skipped", logger=__name__)
                 malformed += 1
                 continue
+            parsed += 1
             label = sys.intern(label.strip().lower())
             if not label or not text.strip():
                 _warn(f"{path}:{line_no}: empty label or text, skipped", logger=__name__)
                 continue
             documents.append(LabeledDocument(gold=label, text=text, id=len(documents)))
+    total = malformed + parsed
     if total and malformed / total > MAX_MALFORMED_FRACTION:
         raise CorpusFormatError(
             f"{path}: {malformed} of {total} lines malformed"

@@ -14,19 +14,20 @@ name, in :class:`LanguageLexicon` field order, from ``_DICTIONARIES``::
     <root>/<lang>/stopwords.txt     one word per line
     <root>/<lang>/diacritics.txt    one character per line
 
-Files are UTF-8, and lines end at ``\n``; as in a corpus, a byte-order
-mark at the start of any line is ignored, surrounding whitespace is
-trimmed, and blank lines and lines starting with ``#`` are ignored.  A
-stop word is one normalized token (:func:`lexid.normalize.normalize_text`)
-and a diacritic one letter; both are lowercase and canonically composed
-(NFC).  :func:`_entry` is the one normalizer of an entry and
-:func:`_all_canonical` the one check of that form.  :func:`_read_entries`,
-the one word-list reader, checks a file in bulk and walks only a file
-that fails, to normalize its entries and warn about each it changed;
-:class:`LexiconSet` rejects a set that fails, naming its least bad term.
-The shipped ``data/demo`` lexicon holds the built-in diacritic sets of
-the five supported languages.  The tools that curate lexicons (accent
-folding, augmentation, validation, saving) are in :mod:`lexid.tooling`.
+Files are UTF-8, and lines end at ``\n``; as in a corpus, a run of
+byte-order marks at the start of any line is ignored, surrounding
+whitespace is trimmed, and blank lines and lines starting with ``#`` are
+ignored.  A stop word is one normalized token
+(:func:`lexid.normalize.normalize_text`) and a diacritic one letter;
+both are lowercase and canonically composed (NFC).  :func:`_entry` is
+the one normalizer of an entry and :func:`_all_canonical` the one check
+of that form.  :func:`_read_entries`, the one word-list reader, checks a
+file in bulk and walks only a file that fails, to normalize its entries
+and warn about each it changed; :class:`LexiconSet` rejects a set that
+fails, naming its least bad term.  The shipped ``data/demo`` lexicon
+holds the built-in diacritic sets of the five supported languages.  The
+tools that curate lexicons (accent folding, augmentation, validation,
+saving) are in :mod:`lexid.tooling`.
 """
 
 from __future__ import annotations
@@ -99,9 +100,10 @@ class LexiconSet:
     only cross-language view.
     Immutable after construction, save what is stored on first use: the
     digest :meth:`fingerprint`, the diacritic pattern the raw-text path
-    compiles, and one compiled function per config it has scored with,
-    about 1.5 KB each, which :mod:`lexid.scoring` fills; a pickled copy
-    holds none.  Safe to share between any number of concurrent scorers.
+    compiles, and the compiled functions of the last 16 configs it has
+    scored with (``scoring._KEPT_CONFIGS``), about 1.5 KB each, which
+    :mod:`lexid.scoring` fills; a pickled copy holds none.  Safe to
+    share between any number of concurrent scorers.
     """
 
     def __init__(self, languages: Mapping[str, LanguageLexicon]):
@@ -298,9 +300,9 @@ def _warn(message: str, warnings_to: list[Finding] | None = None, logger: str = 
 
 
 def _read_text(path: Path) -> str:
-    """The text of a word-list file, without a byte-order mark at the start of any line.
+    """The text of a word-list file, without the run of byte-order marks at the start of any line.
 
-    Decoding first keeps an invalid byte's offset counting a mark's bytes, as in a corpus.
+    Decoding first keeps an invalid byte's offset counting the marks' bytes, as in a corpus.
     """
     data = path.read_bytes()
     try:
@@ -311,7 +313,8 @@ def _read_text(path: Path) -> str:
         raise LexiconError(
             f"{path}:{line_no}: invalid UTF-8 at byte {exc.start - line_start + 1}"
         ) from None
-    return text.removeprefix("\ufeff").replace("\n\ufeff", "\n")
+    # One pass; a replace per mark would copy the text once per mark of a run.
+    return "\n".join(part.lstrip("\ufeff") for part in text.split("\n\ufeff"))
 
 
 def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None = None) -> list[str]:

@@ -688,7 +688,9 @@ class TestEvaluate:
         _, out_a, _ = run(capsys, base + ["--preset", "test3"])
         _, out_b, _ = run(capsys, base + ["--p", "1", "--tf", "raw", "--weight", "unit",
                                           "--fallback"])
-        assert out_a == out_b
+        # test3 is p=1 with every other setting at its default.
+        _, out_c, _ = run(capsys, base + ["--p", "1"])
+        assert out_a == out_b == out_c
 
     def test_malformed_corpus_exit_code(self, capsys, ab_dir, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -811,6 +813,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("format", ["tsv", "jsonl"])
     def test_concatenated_files_with_marks_report_as_without(self, capsys, tmp_path, format):
         files = [
+            # An empty file: once marked, two marks start the next file's first line.
+            (b"\n", []),
             (b"\n", [("fr", "le château"), ("it", "la città")]),
             (b"\r\n", [("es", "el niño"), ("PT", "a ação")]),
             (b"\n", [("ro", "și țară"), ("fr", "zzz")]),
@@ -860,10 +864,13 @@ class TestEvaluate:
 
 @pytest.fixture()
 def marked_lexicons(tmp_path):
-    """Two copies of one lexicon, the second with its word lists joined from marked files."""
+    """Two copies of one lexicon, the second with its word lists joined from marked files.
+
+    One of those files is empty: only its mark, with no line end.
+    """
     files = {
         "a": ([(True, "\n", ["le", "la"]), (True, "\r\n", ["de"]), (True, "\n", [])],
-              [(True, "\n", ["é"]), (True, "\r\n", ["è"])]),
+              [(True, "\n", None), (True, "\n", ["é"]), (True, "\r\n", ["è"])]),
         "b": ([(False, "\n", ["el"]), (True, "\n", ["la", "ñu"])], [(True, "\r\n", ["ñ"])]),
     }
     roots = []

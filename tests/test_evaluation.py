@@ -55,7 +55,9 @@ def concatenation(format, parts):
     """The bytes of corpus files ``parts`` written one after another.
 
     Each part is ``(marked, line_end, [(label, text), ...])``: whether the
-    file starts with a byte-order mark, and how its lines end.
+    file starts with a byte-order mark, and how its lines end.  A part
+    with no lines is an empty file: the mark alone when marked, with no
+    line end.
     """
     return b"".join(
         (codecs.BOM_UTF8 if marked else b"")
@@ -64,7 +66,7 @@ def concatenation(format, parts):
     )
 
 
-#: Corpus files of one or two documents each; texts hold no line end.
+#: Corpus files of up to two documents each; texts hold no line end.
 corpus_parts = st.lists(
     st.tuples(
         st.booleans(),
@@ -78,7 +80,6 @@ corpus_parts = st.lists(
                     max_size=12,
                 ).filter(str.strip),
             ),
-            min_size=1,
             max_size=2,
         ),
     ),

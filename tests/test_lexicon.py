@@ -50,19 +50,24 @@ def word_list(parts):
     """The bytes of word-list files ``parts`` written one after another.
 
     Each part is ``(marked, line_end, lines)``: whether the file starts
-    with a byte-order mark, how its lines end, and its lines.  A part
-    with no lines is one blank line, so a marked one is the mark alone.
+    with a byte-order mark, how its lines end, and its lines, or ``None``
+    for an empty file.  A part with no lines is one blank line, so a
+    marked one is the mark and a line end; an empty file is the mark
+    alone when marked, with no line end.
     """
     return "".join(
-        ("\ufeff" if marked else "") + "".join(line + end for line in lines or [""])
+        ("\ufeff" if marked else "")
+        + ("" if lines is None else "".join(line + end for line in lines or [""]))
         for marked, end, lines in parts
     ).encode()
 
 
 def word_list_parts(lines):
-    """Word-list files of up to two of ``lines`` each, as :func:`word_list` takes them."""
+    """Empty word-list files or ones of up to two of ``lines``, as :func:`word_list` takes them."""
     part = st.tuples(
-        st.booleans(), st.sampled_from(["\n", "\r\n"]), st.lists(lines, max_size=2)
+        st.booleans(),
+        st.sampled_from(["\n", "\r\n"]),
+        st.none() | st.lists(lines, max_size=2),
     )
     return st.lists(part, min_size=1, max_size=3)
 
@@ -380,6 +385,25 @@ class TestConcatenatedWordLists:
             assert findings == []
         assert loaded[0] == loaded[1]
         assert loaded[0].fingerprint() == loaded[1].fingerprint()
+
+    def test_a_long_run_of_marks_loads_in_one_pass(self, tmp_path):
+        """Dropping one mark per line start per pass would copy the text a million times."""
+        root = tmp_path / "lex"
+        write_lexicon_dir(root, {"fr": (["le"], ["é"]), "it": (["di"], ["ì"])})
+        (root / "fr" / "stopwords.txt").write_bytes(b"le\n" + "\ufeff".encode() * 10**6 + b"la\n")
+        script = (
+            "import sys, lexid\n"
+            "print(*sorted(lexid.load_lexicon(sys.argv[1]).languages['fr'].stopwords))"
+        )
+        src = str(Path(lexicon.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(root)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (0, "la le\n"), result.stderr
 
 
 class TestConstructorInvariants:

@@ -10,8 +10,9 @@ classify raw text through the one path that counts it chunk by chunk,
 which compiles what it needs itself; the evaluation calls that path
 only where it counts the documents it is handed; the corpus loader
 reads every line by one rule; no reader drops a byte-order mark only at
-the start of its input; and no docstring holds a line break or a
-carriage return where it means the escape sequence.
+the start of its input, or from bytes; only the scoring module spells a
+mode name; and no docstring holds a line break or a carriage return
+where it means the escape sequence.
 """
 
 import ast
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import lexid
 from lexid import ScoringConfig
+from lexid.scoring import TF_MODES, WEIGHT_MODES
 
 SOURCES = sorted(Path(lexid.__file__).resolve().parent.glob("*.py"))
 
@@ -226,30 +228,48 @@ def test_evaluation_classifies_only_in_its_tally():
     assert callers == ["_tally"]
 
 
+def code_strings(path):
+    """The string constants of the module at ``path`` that are not docstrings."""
+    tree = ast.parse(path.read_text("utf-8"), str(path))
+    docstrings = {
+        ast.get_docstring(node, clean=False)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value not in docstrings
+    ]
+
+
 def test_only_the_lexicon_module_names_the_word_list_files():
     """``lexicon._DICTIONARIES`` holds the on-disk layout; every other module reads it there.
 
     Docstrings, which describe the layout, may name the files too.
     """
     names = ("stopwords.txt", "diacritics.txt")
-    found = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text("utf-8"), str(path))
-        docstrings = {
-            ast.get_docstring(node, clean=False)
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        found.extend(
-            (path.name, name)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and node.value not in docstrings
-            for name in names
-            if name in node.value
-        )
+    found = [
+        (path.name, name)
+        for path in SOURCES
+        for value in code_strings(path)
+        for name in names
+        if name in value
+    ]
     assert sorted(found) == [("lexicon.py", "diacritics.txt"), ("lexicon.py", "stopwords.txt")]
+
+
+def test_only_the_scoring_module_spells_a_mode_name():
+    """``ScoringConfig`` holds the modes' defaults and ``scoring`` their tables.
+
+    So another module passes on only the modes it was given, and a
+    default is spelled once.  Docstrings may name the modes.
+    """
+    modes = set(TF_MODES + WEIGHT_MODES)
+    spellers = {path.name for path in SOURCES for value in code_strings(path) if value in modes}
+    assert spellers == {"scoring.py"}
 
 
 def test_corpus_lines_are_read_by_one_rule():
@@ -301,6 +321,25 @@ def test_no_module_names_the_utf_8_sig_codec():
         for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path)))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
         and is_utf_8_sig(node.value)
+    ]
+    assert SOURCES
+    assert found == []
+
+
+def test_no_module_drops_a_mark_from_bytes():
+    """A byte-order mark is dropped only from decoded text.
+
+    Dropping it from bytes as well would state the rule a second time,
+    and an invalid byte's offset must count the marks' bytes.
+    """
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "BOM_UTF8")
+        or (isinstance(node, ast.Name) and node.id == "BOM_UTF8")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, bytes)
+            and codecs.BOM_UTF8 in node.value)
     ]
     assert SOURCES
     assert found == []
