@@ -21,10 +21,12 @@ ignored.  A stop word is one normalized token
 (:func:`lexid.normalize.normalize_text`) and a diacritic one letter;
 both are lowercase and canonically composed (NFC).  :func:`_entry` is
 the one normalizer of an entry and :func:`_all_canonical` the one check
-of that form.  :func:`_read_entries`, the one word-list reader, checks a
-file in bulk and walks only a file that fails, to normalize its entries
-and warn about each it changed; :class:`LexiconSet` rejects a set that
-fails, naming its least bad term.  The shipped ``data/demo`` lexicon
+of that form.  A load is checked once, by :class:`LexiconSet`, which
+rejects a set that fails, naming its least bad term; only a load that
+fails is walked line by line, to normalize its entries and warn about
+each it changed, or to name the line it rejects.  :func:`_read_entries`,
+which reads one word list for the ``dict`` commands, walks a file that
+fails in the same way.  The shipped ``data/demo`` lexicon
 holds the built-in diacritic sets of the five supported languages.  The
 tools that curate lexicons (accent folding, augmentation, validation,
 saving) are in :mod:`lexid.tooling`.
@@ -100,8 +102,8 @@ class LexiconSet:
     only cross-language view.
     Immutable after construction, save what is stored on first use: the
     digest :meth:`fingerprint`, the diacritic pattern the raw-text path
-    compiles, and the compiled functions of the last 16 configs it has
-    scored with (``scoring._KEPT_CONFIGS``), about 1.5 KB each, which
+    compiles, and the compiled functions of the 16 configs it compiled
+    last (``scoring._KEPT_CONFIGS``), about 1.5 KB each, which
     :mod:`lexid.scoring` fills; a pickled copy holds none.  Safe to
     share between any number of concurrent scorers.
     """
@@ -251,8 +253,10 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
     lines, multi-character diacritic lines, duplicate or reserved codes,
     codes with surrounding whitespace, no languages at all) raise
     :class:`LexiconError` with file and line context.  Each file is read
-    once and checked in bulk; only a file that fails is walked line by
-    line, to name the lines to normalize or reject.
+    once, and the load is checked once, by :class:`LexiconSet`.  Only a
+    load that fails is walked, file by file in load order as
+    :func:`_read_entries` walks a failing file, to name the lines to
+    normalize or reject before the load's own error.
     Entries the loader had to normalize are logged and, when
     ``warnings_to`` is given, also appended to it as :class:`Finding`
     objects.
@@ -262,19 +266,32 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
         raise LexiconError(f"lexicon root {root} is not a directory")
 
     languages: dict[str, LanguageLexicon] = {}
-    for lang_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        code = lang_dir.name.lower()
-        if code in languages:
-            raise LexiconError(f"duplicate language code {code!r} under {root}")
-        paths = {kind: lang_dir / name for kind, name in _DICTIONARIES.items()}
-        for path in paths.values():
-            if not path.is_file():
-                raise LexiconError(f"missing lexicon file {path}")
-        entries = (_read_entries(path, kind, warnings_to) for kind, path in paths.items())
-        languages[code] = LanguageLexicon._make(entries)
-
-    if not languages:
-        raise LexiconError(f"no language directories under {root}")
+    files = []  # (path, kind, text, entry lines) of each file read, in load order
+    try:
+        for lang_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+            code = lang_dir.name.lower()
+            if code in languages:
+                raise LexiconError(f"duplicate language code {code!r} under {root}")
+            paths = {kind: lang_dir / name for kind, name in _DICTIONARIES.items()}
+            for path in paths.values():
+                if not path.is_file():
+                    raise LexiconError(f"missing lexicon file {path}")
+            lists = []
+            for kind, path in paths.items():
+                text = _read_text(path)
+                lists.append(_entry_lines(text))
+                files.append((path, kind, text, lists[-1]))
+            languages[code] = LanguageLexicon._make(lists)
+        if not languages:
+            raise LexiconError(f"no language directories under {root}")
+    except (LexiconError, OSError):
+        _check_files(files, warnings_to)  # the files read before the error come first
+        raise
+    try:
+        return LexiconSet(languages)
+    except LexiconError:
+        # A line to normalize or reject, or a code the rebuild rejects again.
+        _check_files(files, warnings_to)
     try:
         return LexiconSet(languages)
     except LexiconError as exc:
@@ -317,31 +334,51 @@ def _read_text(path: Path) -> str:
     return "\n".join(part.lstrip("\ufeff") for part in text.split("\n\ufeff"))
 
 
+def _entry_lines(text: str) -> list[str]:
+    """The stripped lines of a word list's text, in file order, without blanks and comments."""
+    lines = filter(None, map(str.strip, text.split("\n")))
+    return [line for line in lines if line[0] != "#"] if "#" in text else list(lines)
+
+
 def _read_entries(path: Path, kind: str, warnings_to: list[Finding] | None = None) -> list[str]:
     """The :func:`_entry` of each entry line, in file order; errors and warnings name path:line.
 
-    Only a file that fails the bulk check is walked line by line, and
-    :func:`_entry` runs only on a line that fails it alone, which it changes or rejects.
+    It serves the ``dict`` commands.  :func:`load_lexicon` reads its files
+    itself and leaves the check to :class:`LexiconSet`; it walks them as
+    this does only when the load fails.
     """
     text = _read_text(path)
-    terms = filter(None, map(str.strip, text.split("\n")))
-    terms = [term for term in terms if term[0] != "#"] if "#" in text else list(terms)
-    if _all_canonical(kind, terms):
-        return terms
-    entries = []
-    for line_no, line in enumerate(text.split("\n"), 1):
-        term = line.strip()
-        if not term or term[0] == "#":
-            continue
-        if not _all_canonical(kind, (term,)):
-            try:
-                entry = _entry(kind, term)
-            except LexiconError as exc:
-                raise LexiconError(f"{path}:{line_no}: {exc}") from None
-            _warn(f"{path}:{line_no}: normalized {term!r} to {entry!r}", warnings_to)
-            term = entry
-        entries.append(term)
+    entries = _entry_lines(text)
+    _check_files([(path, kind, text, entries)], warnings_to)
     return entries
+
+
+def _check_files(
+    files: list[tuple[Path, str, str, list[str]]], warnings_to: list[Finding] | None
+) -> None:
+    """Check each file's entry lines, in order, putting their :func:`_entry` in their place.
+
+    Each item is a file's path, kind, text and the :func:`_entry_lines` of that text.  Only a
+    file that fails the bulk check is walked, and :func:`_entry` runs only on a line that
+    fails it alone, which it changes or rejects.
+    """
+    for path, kind, text, lines in files:
+        if _all_canonical(kind, lines):
+            continue
+        entries = []
+        for line_no, line in enumerate(text.split("\n"), 1):
+            term = line.strip()
+            if not term or term[0] == "#":
+                continue
+            if not _all_canonical(kind, (term,)):
+                try:
+                    entry = _entry(kind, term)
+                except LexiconError as exc:
+                    raise LexiconError(f"{path}:{line_no}: {exc}") from None
+                _warn(f"{path}:{line_no}: normalized {term!r} to {entry!r}", warnings_to)
+                term = entry
+            entries.append(term)
+        lines[:] = entries
 
 
 def demo_lexicon_dir() -> Path:

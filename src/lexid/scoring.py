@@ -26,8 +26,8 @@ of the languages listing it.  Each (lexicon, config) pair is compiled
 once into one function: it looks up the index, the term-frequency
 function, the weight table (one weight per number of listing languages),
 ``p`` and the fallback once, and prebuilds the verdict of each language
-winning.  The lexicon keeps the compiled functions of the last
-``_KEPT_CONFIGS`` (16) configs it has scored with, about 1.5 KB each; a
+winning.  The lexicon keeps the compiled functions of the
+``_KEPT_CONFIGS`` (16) configs it compiled last, about 1.5 KB each; a
 pickled copy holds none.  The function adds each dictionary's matched
 terms into a list indexed by position, with one sum that serves both
 dictionaries, reading one map of token counts and one of character

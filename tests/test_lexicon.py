@@ -851,3 +851,194 @@ class TestBulkCheck:
         message = "language 'x': diacritic 'É' is not a single letter in lowercase NFC"
         with pytest.raises(LexiconError, match=re.escape(message)):
             LexiconSet({"x": LanguageLexicon(frozenset({"le"}), diacritics)})
+
+
+def reference_load(root, warnings_to):
+    """The loader that checks each file as it reads it with ``_read_entries``, then the set."""
+    languages = {}
+    for lang_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+        code = lang_dir.name.lower()
+        if code in languages:
+            raise LexiconError(f"duplicate language code {code!r} under {root}")
+        paths = {kind: lang_dir / name for kind, name in lexicon._DICTIONARIES.items()}
+        for path in paths.values():
+            if not path.is_file():
+                raise LexiconError(f"missing lexicon file {path}")
+        languages[code] = LanguageLexicon._make(
+            lexicon._read_entries(path, kind, warnings_to) for kind, path in paths.items()
+        )
+    if not languages:
+        raise LexiconError(f"no language directories under {root}")
+    try:
+        return LexiconSet(languages)
+    except LexiconError as exc:
+        raise LexiconError(f"{root}: {exc}") from None
+
+
+def loaded(load, root):
+    """What ``load`` makes of ``root`` (languages, index and digest, or the error) and its findings."""
+    findings = []
+    try:
+        lex = load(root, warnings_to=findings)
+    except LexiconError as exc:
+        return str(exc), findings
+    index = [list(terms.items()) for terms in lex._index.values()]
+    return (list(lex.languages.items()), index, lex.fingerprint()), findings
+
+
+#: Lexicons with two faults: their languages, the files then replaced
+#: (``None`` removes one), the warnings and the error loading one gives,
+#: as the loader that checked each file as it read it gave them, and the
+#: files the loader reads.  Sorted paths put ``B`` before ``a``.
+TWO_FAULTS = {
+    "normalized line, then duplicate codes": (
+        {"a": (["le", "Le"], ["é"]), "B": (["di"], ["ì"]), "b": (["el"], ["ñ"])},
+        {},
+        ["{root}/a/stopwords.txt:2: normalized 'Le' to 'le'"],
+        "duplicate language code 'b' under {root}",
+        ["B/diacritics.txt", "B/stopwords.txt", "a/diacritics.txt", "a/stopwords.txt"],
+    ),
+    "rejected line, then a missing file": (
+        {"a": (["le", "x²y"], ["é"]), "b": (["el"], ["ñ"])},
+        {"b/diacritics.txt": None},
+        [],
+        "{root}/a/stopwords.txt:2: stop word 'x²y' is not a single word",
+        ["a/diacritics.txt", "a/stopwords.txt"],
+    ),
+    "normalized line, then a reserved code": (
+        {"a": (["le", "Le"], ["é"]), "und": (["el"], ["ñ"])},
+        {},
+        ["{root}/a/stopwords.txt:2: normalized 'Le' to 'le'"],
+        "{root}: language code 'und' is reserved",
+        ["a/diacritics.txt", "a/stopwords.txt", "und/diacritics.txt", "und/stopwords.txt"],
+    ),
+    "normalized line, then invalid UTF-8": (
+        {"a": (["le", "Le"], ["é"]), "b": (["el"], ["ñ"])},
+        {"b/stopwords.txt": b"el\n\xff\n"},
+        ["{root}/a/stopwords.txt:2: normalized 'Le' to 'le'"],
+        "{root}/b/stopwords.txt:2: invalid UTF-8 at byte 1",
+        ["a/diacritics.txt", "a/stopwords.txt", "b/stopwords.txt"],
+    ),
+}
+
+
+def write_two_faults(root, name):
+    languages, replaced, *_ = TWO_FAULTS[name]
+    write_lexicon_dir(root, languages)
+    for path, data in replaced.items():
+        if data is None:
+            (root / path).unlink()
+        else:
+            (root / path).write_bytes(data)
+
+
+class TestLoadChecksOnce:
+    """The loader checks a load once, in ``LexiconSet``, and walks only a load that fails."""
+
+    @pytest.mark.parametrize("name", TWO_FAULTS)
+    def test_two_faults_report_the_first_line_then_the_load(self, tmp_path, monkeypatch, name):
+        root = tmp_path / "lex"
+        write_two_faults(root, name)
+        _, _, warnings, error, files = TWO_FAULTS[name]
+        read = []
+        read_text = lexicon._read_text
+        monkeypatch.setattr(lexicon, "_read_text", lambda p: read.append(p) or read_text(p))
+        findings = []
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(root, warnings_to=findings)
+        assert str(exc.value) == error.format(root=root)
+        assert [str(f) for f in findings] == [f"warning: {w.format(root=root)}" for w in warnings]
+        assert sorted(read) == [root / path for path in files]  # each file once, if at all
+        assert loaded(load_lexicon, root) == loaded(reference_load, root)
+
+    @pytest.mark.parametrize("name", TWO_FAULTS)
+    def test_dict_validate_on_two_faults(self, tmp_path, name):
+        root = tmp_path / "lex"
+        write_two_faults(root, name)
+        _, _, warnings, error, _ = TWO_FAULTS[name]
+        result = subprocess.run(
+            [sys.executable, "-m", "lexid.cli", "dict", "validate", "--lexicon", str(root)],
+            env={**os.environ, "PYTHONPATH": str(Path(lexicon.__file__).resolve().parents[1])},
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            timeout=120,
+        )
+        stderr = "".join(f"WARNING: {w}\n" for w in warnings) + f"lexid: lexicon error: {error}\n"
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == stderr.format(root=root)
+
+    def test_an_unreadable_file_comes_after_the_lines_before_it(self, tmp_path, monkeypatch):
+        write_lexicon_dir(tmp_path, {"a": (["Le"], ["é"]), "b": (["el"], ["ñ"])})
+        read_text = lexicon._read_text
+
+        def unreadable(path):
+            if path.parent.name == "b":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path)
+
+        monkeypatch.setattr(lexicon, "_read_text", unreadable)
+        findings = []
+        with pytest.raises(PermissionError):
+            load_lexicon(tmp_path, warnings_to=findings)
+        path = tmp_path / "a" / "stopwords.txt"
+        assert [f.message for f in findings] == [f"{path}:1: normalized 'Le' to 'le'"]
+
+    def test_checks_each_list_once(self, tmp_path, monkeypatch):
+        rng = random.Random(29)
+        lex = LexiconSet(
+            {
+                code: LanguageLexicon(frozenset(canonical_words(rng, 200)), frozenset(letters))
+                for code, letters in (("a", "éè"), ("b", "ñé"), ("c", "șț"))
+            }
+        )
+        save_lexicon(lex, tmp_path)
+        checked = []
+        all_canonical = lexicon._all_canonical
+        monkeypatch.setattr(
+            lexicon, "_all_canonical", lambda k, t: checked.append((k, t)) or all_canonical(k, t)
+        )
+        assert load_lexicon(tmp_path) == lex
+        assert checked == [
+            (kind, terms)
+            for language in lex.languages.values()
+            for kind, terms in zip(lexicon._DICTIONARIES, language)
+        ]
+
+    @given(
+        codes=st.lists(st.sampled_from(["a", "B", "b", "c", "und"]), min_size=1, max_size=3,
+                       unique=True),
+        stopwords=st.lists(
+            word_list_parts(
+                st.sampled_from(["le", "Le", "DE", " la ", "", "  ", "# x", "#", "\ufeff\ufeffdi",
+                                 "cafe\u0301", "ÇA"])
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+        diacritics=st.lists(
+            word_list_parts(st.sampled_from(["é", "É", "e\u0301", " ñ ", "", "# é"])),
+            min_size=3,
+            max_size=3,
+        ),
+        fault=st.sampled_from([b"", b"\xff\n", "bon jour\n".encode(), "x²y\n".encode(), b"1\n"]),
+        faulty=st.integers(0, 5),
+    )
+    def test_matches_the_reference_loader(
+        self, folder, codes, stopwords, diacritics, fault, faulty
+    ):
+        root = folder / "lex"
+        shutil.rmtree(root, ignore_errors=True)
+        write_lexicon_dir(root, {code: ([], []) for code in codes})
+        files = [
+            (root / code / name, parts)
+            for code, parts in zip(codes, zip(stopwords, diacritics))
+            for name, parts in zip(("stopwords.txt", "diacritics.txt"), parts)
+        ]
+        for number, (path, parts) in enumerate(files):
+            path.write_bytes(word_list(parts) + (fault if number == faulty else b""))
+        assert loaded(load_lexicon, root) == loaded(reference_load, root)
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("reference")

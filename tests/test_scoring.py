@@ -364,6 +364,17 @@ class TestCompiledScorer:
         assert compile_.call_args_list == [mock.call(lex, first)]
         assert list(lex._scorers)[-1] == first
 
+    def test_keeps_the_configs_compiled_last_not_the_configs_used_last(self):
+        lex = load_lexicon(demo_lexicon_dir())
+        nt = normalize_text(GOLDEN_TEXTS[2])
+        a = PRESETS["test9"]
+        b = [ScoringConfig(p=i / 100) for i in range(1, scoring._KEPT_CONFIGS + 1)]
+        for cfg in [a, *b[:-1], a, b[-1]]:
+            score_all(nt, lex, cfg)
+        # A was used second to last but compiled first, so B16 drops it.
+        assert a not in lex._scorers
+        assert list(lex._scorers) == b
+
     def test_scoring_leaves_no_reference_cycle(self):
         # A lexicon in a cycle outlives its last use until the collector runs.
         lex = load_lexicon(demo_lexicon_dir())
