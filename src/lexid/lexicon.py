@@ -35,7 +35,6 @@ saving) are in :mod:`lexid.tooling`.
 from __future__ import annotations
 
 import os
-import re
 import unicodedata
 from collections import namedtuple
 from collections.abc import Mapping
@@ -101,11 +100,11 @@ class LexiconSet:
     positions, in :attr:`codes`, of the languages listing it; it is the
     only cross-language view.
     Immutable after construction, save what is stored on first use: the
-    digest :meth:`fingerprint`, the diacritic pattern the raw-text path
-    compiles, and the compiled functions of the 16 configs it compiled
-    last (``scoring._KEPT_CONFIGS``), about 1.5 KB each, which
-    :mod:`lexid.scoring` fills; a pickled copy holds none.  Safe to
-    share between any number of concurrent scorers.
+    digest :meth:`fingerprint`, the ASCII bytes the raw-text path drops
+    before it counts characters, and the compiled functions of the 16
+    configs it compiled last (``scoring._KEPT_CONFIGS``), about 1.5 KB
+    each, which :mod:`lexid.scoring` fills; a pickled copy holds none.
+    Safe to share between any number of concurrent scorers.
     """
 
     def __init__(self, languages: Mapping[str, LanguageLexicon]):
@@ -178,16 +177,17 @@ class LexiconSet:
         return self._fingerprint
 
     @cached_property
-    def _diacritic_re(self) -> re.Pattern:
-        """A pattern matching any one diacritic of any language, compiled on first use.
+    def _ascii_non_diacritics(self) -> bytes:
+        """The ASCII bytes that are no diacritic of any language, built on first use.
 
-        Only the raw-text path counts with it.  :func:`~lexid.scoring.classify`
-        never builds it, so a program that loads a lexicon and classifies
-        one normalized text, as ``bench/run.py`` times in ``setup_s``,
-        does not pay for it.
+        The raw-text path deletes them from the UTF-8 form of a text's
+        joined tokens with ``bytes.translate`` and counts what is left
+        (:func:`~lexid.normalize._term_counts`).
+        :func:`~lexid.scoring.classify` never builds it, so a program
+        that loads a lexicon and classifies one normalized text, as
+        ``bench/run.py`` times in ``setup_s``, does not pay for it.
         """
-        letters = "".join(map(re.escape, sorted(self._all_diacritics)))
-        return re.compile(f"[{letters}]" if letters else "(?!)")
+        return bytes(b for b in range(128) if chr(b) not in self._all_diacritics)
 
     def __getstate__(self) -> dict:
         # Compiled functions are closures, which cannot be pickled; a copy compiles its own.

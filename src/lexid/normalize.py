@@ -23,9 +23,11 @@ a letter-run ``findall`` on each.
 :func:`_term_counts` runs :func:`_tokens` on one whitespace-cut chunk of
 about 64 Ki characters at a time, so its memory is bounded by one chunk
 plus the distinct terms; only a text with no whitespace to cut at is
-held whole.  It counts each chunk's tokens, and the lexicon's diacritics
-in their concatenation, which chunk after chunk is the string
-``normalize_text`` counts, so both paths count alike by construction.
+held whole.  It counts each chunk's tokens, and the characters that one
+``bytes.translate`` pass keeps of their concatenation's UTF-8 form: the
+non-ASCII letters and the lexicon's ASCII diacritics.  Chunk after chunk,
+that concatenation is the string ``normalize_text`` counts, so at each
+diacritic the counts are its ``char_freq`` by construction.
 """
 
 from __future__ import annotations
@@ -78,7 +80,9 @@ def _tokens(raw: str) -> tuple[list[str], str]:
     non-letters into spaces and splitting on whitespace cuts only at
     non-letters, so each word is a token unless it holds a non-ASCII
     non-letter; ``surrogatepass`` carries lone surrogates through the
-    byte round trip unchanged.
+    byte round trip unchanged.  :func:`normalize_text` counts every
+    character of the concatenation, and :func:`_term_counts` the letters
+    one ``bytes.translate`` pass keeps of its UTF-8 form.
     """
     text = unicodedata.normalize("NFC", raw.lower())
     if "://" in text or "www." in text:
@@ -152,14 +156,19 @@ def _chunks(raw: str):
     yield raw[start:]
 
 
-def _term_counts(raw: str, diacritics: re.Pattern) -> tuple[dict[str, int], dict[str, int]]:
-    """The counts of ``raw``'s tokens, and of the letters ``diacritics`` matches in them.
+def _term_counts(raw: str, dropped: bytes) -> tuple[dict[str, int], dict[str, int]]:
+    """The counts of ``raw``'s tokens, and of their letters but the ASCII bytes ``dropped``.
 
-    They are ``normalize_text(raw).token_freq`` and its ``char_freq`` at
-    those letters, as plain dicts, by construction: the chunks' tokens
-    from :func:`_tokens`, in order, are the text's tokens, and their
-    concatenations, in order, are the string ``char_freq`` counts.  Only
-    one chunk of the text is held in normalized form at a time.
+    ``dropped`` holds the ASCII bytes that are no diacritic of a lexicon
+    (``LexiconSet._ascii_non_diacritics``), so one ``bytes.translate``
+    pass over the UTF-8 form of the tokens' concatenation keeps their
+    non-ASCII letters and the lexicon's ASCII diacritics.  The counts are
+    ``normalize_text(raw).token_freq``, and its ``char_freq`` at each
+    letter kept, the lexicon's diacritics among them, as plain dicts, by
+    construction: the chunks' tokens from :func:`_tokens`, in order, are
+    the text's tokens, and their concatenations, in order, are the string
+    ``char_freq`` counts.  Only one chunk of the text is held in
+    normalized form at a time.
     """
     # ``_count_elements`` is the C loop ``Counter.update`` runs, without
     # the cost of building and updating ``Counter`` objects.
@@ -168,7 +177,8 @@ def _term_counts(raw: str, diacritics: re.Pattern) -> tuple[dict[str, int], dict
     for chunk in _chunks(raw) if len(raw) > _CHUNK else (raw,):
         chunk_tokens, joined = _tokens(chunk)
         _count_elements(tokens, chunk_tokens)
-        _count_elements(chars, diacritics.findall(joined))
+        # Letters only, so no lone surrogate needs ``surrogatepass``.
+        _count_elements(chars, joined.encode().translate(None, dropped).decode())
         # Free this chunk's tokens before the next chunk is tokenized.
         del chunk_tokens, joined
     return tokens, chars

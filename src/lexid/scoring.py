@@ -39,10 +39,12 @@ order.
 call that one function.  :func:`classify` and :func:`score_all` pass a
 :class:`~lexid.normalize.NormalizedText`'s two maps; :func:`_classify_text`,
 behind ``lexid evaluate`` and ``lexid detect``, passes a raw text's
-token and diacritic counts from :func:`~lexid.normalize._term_counts`,
-which equal those maps at every term by construction, so the verdict
-and scores are the same bit for bit.  :class:`ScoringConfig` and
-:class:`Verdict` are named tuples.
+counts from :func:`~lexid.normalize._term_counts`: its tokens, and the
+letters one ``bytes.translate`` pass keeps of the UTF-8 form of its
+tokens, the non-ASCII ones and the lexicon's ASCII diacritics.  At each
+diacritic those counts are the ``NormalizedText``'s, and the function
+reads no other key, so the verdict and scores are the same bit for bit.
+:class:`ScoringConfig` and :class:`Verdict` are named tuples.
 """
 
 from __future__ import annotations
@@ -249,10 +251,10 @@ def _classify_text(raw: str, lex: LexiconSet, cfg: ScoringConfig) -> tuple[Verdi
     """``classify(normalize_text(raw), lex, cfg)``, with the scores as a list in lexicon order.
 
     The verdict and scores are the same, bit for bit, but only the
-    token counts and the lexicon's diacritics are counted, one chunk of
-    ``raw`` at a time.
+    tokens and, of their letters, the non-ASCII ones and the lexicon's
+    ASCII diacritics are counted, one chunk of ``raw`` at a time.
     """
-    return _compiled(lex, cfg)(*_term_counts(raw, lex._diacritic_re))
+    return _compiled(lex, cfg)(*_term_counts(raw, lex._ascii_non_diacritics))
 
 
 def _verdict(values: list[float], verdicts: tuple[Verdict, ...]) -> Verdict:

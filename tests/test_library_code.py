@@ -203,7 +203,7 @@ def test_cli_and_evaluation_leave_compiling_to_the_raw_path():
                 named.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
-        assert named.isdisjoint({"_compiled", "_diacritic_re"}), name
+        assert named.isdisjoint({"_compiled", "_ascii_non_diacritics"}), name
 
 
 def test_evaluation_classifies_only_in_its_tally():

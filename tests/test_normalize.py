@@ -6,9 +6,10 @@ from collections import Counter
 from itertools import groupby
 from unittest import mock
 
+import pytest
 from hypothesis import find, given, strategies as st
 
-from lexid import NormalizedText, normalize, normalize_text
+from lexid import LanguageLexicon, LexiconSet, NormalizedText, normalize, normalize_text
 from lexid.normalize import _ASCII_NON_LETTER_TO_SPACE, _term_counts
 
 
@@ -73,20 +74,22 @@ ASCII = "".join(map(chr, range(128)))
 
 # Pieces around the byte-table split: every ASCII character, which the
 # table turns into a space unless it is a letter; non-ASCII punctuation and
-# emoji, which send their word through the per-word cut; a combining accent;
-# and lone surrogates, which cross the UTF-8 round trip.  Drawn as often as
-# single letters.
+# emoji, which send their word through the per-word cut; non-ASCII
+# whitespace, which does not; a combining accent; a Greek capital sigma,
+# which lowercases by context; and lone surrogates, which cross the UTF-8
+# round trip.  Drawn as often as single letters.
 SPLIT_PIECES = [
     *ASCII, *"’«»“”—…¿¡", "\N{HEAVY BLACK HEART}\N{VARIATION SELECTOR-16}", "\U0001F600",
+    "\xa0", "\u202f", "\u3000", "\x85", "Σ",
     "\N{COMBINING ACUTE ACCENT}", chr(0xDC80), chr(0xD83D),
 ]
 split_text = st.lists(
     st.one_of(st.sampled_from(ROMANCE_LETTERS), st.sampled_from(SPLIT_PIECES)),
     max_size=40,
 ).map("".join)
-# The letters whose counts ``_term_counts`` is asked for, as it is asked for
-# a lexicon's diacritics.
-COUNTED = re.compile(f"[{ROMANCE_LETTERS.lower()}]")
+# A lexicon whose diacritics are every letter the texts are built from,
+# the ASCII letters included, so ``_term_counts`` is asked for each of them.
+COUNTED = LexiconSet({"xx": LanguageLexicon(frozenset(), frozenset(ROMANCE_LETTERS.lower()))})
 
 mixed_text = st.text(
     alphabet=st.sampled_from(list(ROMANCE_LETTERS + " \t\n.,;!?#@0123456789-")),
@@ -248,12 +251,25 @@ class TestCodePoints:
             assert normalize_text(raw) == _reference_normalize(raw), hex(ord(ch))
 
 
+def assert_term_counts(raw, lex, nt):
+    """``_term_counts`` under ``lex`` counts ``nt``'s tokens, and its characters at the diacritics.
+
+    Every key of the character counts that is no diacritic is a non-ASCII
+    character, which the scorer never reads.
+    """
+    tokens, chars = _term_counts(raw, lex._ascii_non_diacritics)
+    assert tokens == nt.token_freq, ascii(raw)
+    diacritics = lex.all_diacritics
+    at_diacritics = {ch: n for ch, n in chars.items() if ch in diacritics}
+    assert at_diacritics == {ch: n for ch, n in nt.char_freq.items() if ch in diacritics}, ascii(raw)
+    assert all(not ch.isascii() for ch in chars.keys() - diacritics), ascii(raw)
+
+
 def assert_matches_reference(raw):
     nt, ref = normalize_text(raw), _reference_normalize(raw)
     assert nt == ref, ascii(raw)
     assert list(nt.char_freq.items()) == list(ref.char_freq.items()), ascii(raw)
-    counted = {ch: n for ch, n in ref.char_freq.items() if COUNTED.fullmatch(ch)}
-    assert _term_counts(raw, COUNTED) == (ref.token_freq, counted), ascii(raw)
+    assert_term_counts(raw, COUNTED, ref)
 
 
 def cuts_a_word(raw):
@@ -286,3 +302,37 @@ class TestByteTableSplit:
         # ``find`` fails when no text the strategy draws meets the condition.
         find(split_text, cuts_a_word)
         find(split_text, lambda raw: normalize_text(raw).tokens and not cuts_a_word(raw))
+
+
+# The two counters that tokenize: the public one and the raw-text path's.
+COUNTERS = {
+    "normalize_text": normalize_text,
+    "_term_counts": lambda raw: _term_counts(raw, COUNTED._ascii_non_diacritics),
+}
+
+
+def letter_run_searches(counter, raw):
+    """How many times ``COUNTERS[counter](raw)`` searched a word for letter runs."""
+    pattern = normalize._LETTER_RUN_RE
+    with mock.patch.object(normalize, "_LETTER_RUN_RE", wraps=pattern) as wrapped:
+        COUNTERS[counter](raw)
+    return wrapped.findall.call_count
+
+
+@pytest.mark.parametrize("counter", COUNTERS)
+class TestSlowPathSelection:
+    """Only a word holding a non-ASCII non-letter other than whitespace is cut again."""
+
+    @pytest.mark.parametrize("space", ["\xa0", "\u202f", "\u3000", "\x85"])
+    def test_non_ascii_whitespace_keeps_the_fast_path(self, counter, space):
+        for raw in (
+            f"café{space}été{space}niño",
+            f"la{space}casa{space}el",
+            f"la{space}été, casa{space}{space}ñ {space}",
+            space,
+        ):
+            assert letter_run_searches(counter, raw) == 0, ascii(raw)
+
+    @pytest.mark.parametrize("raw", ["l’été la casa", "la casa\U0001F600 el", "l’amour", "été😀"])
+    def test_a_word_with_a_non_ascii_non_letter_is_cut(self, counter, raw):
+        assert letter_run_searches(counter, raw) >= 1, ascii(raw)

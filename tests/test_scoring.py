@@ -28,12 +28,14 @@ from lexid import (
     score_all,
 )
 from lexid import scoring
-from lexid.lexicon import LexiconError
+from lexid.lexicon import DIACRITIC, STOPWORD, LexiconError
 from lexid.scoring import TIE_REL_TOL, _classify_text, _verdict
 
 from _oracle import rescan_scores, rescan_verdict
 from _synth import random_instance
 from test_scores_golden import TEXTS as GOLDEN_TEXTS
+
+DEMO_LEX = load_lexicon(demo_lexicon_dir())
 
 
 def one_term_scores(text, lex, p=0.0, tf_mode="raw", weight_mode="unit"):
@@ -426,7 +428,7 @@ class TestCompiledScorer:
                 with pytest.raises(LexiconError, match="at least 2"):
                     _classify_text("le café", lex, cfg)
                 assert lex._scorers == {}
-                assert "_diacritic_re" not in vars(lex)
+                assert "_ascii_non_diacritics" not in vars(lex)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_one_language_evaluates_an_empty_corpus(self, parallelism):
@@ -453,3 +455,50 @@ class TestCompiledScorer:
         assert lex._scorers == scorers
         for name, preset in PRESETS.items():
             assert hex_scores(copy, preset) == hex_scores(lex, preset), name
+
+
+# Keys that are no term of the demo lexicon once its terms are filtered out:
+# letters no language lists as a diacritic, an emoji, "’", a no-break space,
+# and words no language lists as a stop word.
+stray_key = st.one_of(
+    st.sampled_from([*"abcdefghijklmnopqrstuvwxyzßøåæ", "\U0001F600", "’", "\xa0"]),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyzéñçã", min_size=1, max_size=8),
+)
+stray_counts = st.dictionaries(stray_key, st.integers(1, 10**9), max_size=8)
+demo_text = st.lists(
+    st.one_of(
+        st.sampled_from(sorted(DEMO_LEX._index[STOPWORD])),
+        st.sampled_from(sorted(DEMO_LEX._index[DIACRITIC])),
+        st.text(alphabet="abcdeéñ’ \xa0", max_size=6),
+    ),
+    max_size=20,
+).map(" ".join)
+
+
+def assert_stray_keys_change_nothing(nt, stray_tokens, stray_chars):
+    """Adding the keys that are no demo term to ``nt``'s maps changes no verdict or score."""
+    index = DEMO_LEX._index
+    padded = nt._replace(
+        token_freq={**nt.token_freq, **{key: n for key, n in stray_tokens.items()
+                                        if key not in index[STOPWORD]}},
+        char_freq={**nt.char_freq, **{key: n for key, n in stray_chars.items()
+                                      if key not in index[DIACRITIC]}},
+    )
+    for name, cfg in PRESETS.items():
+        verdict, scores = classify(nt, DEMO_LEX, cfg)
+        padded_verdict, padded_scores = classify(padded, DEMO_LEX, cfg)
+        assert padded_verdict == verdict, name
+        assert [v.hex() for v in padded_scores.values()] == [v.hex() for v in scores.values()], name
+
+
+class TestNonTermKeys:
+    """The scorer reads the two count maps only at the lexicon's terms."""
+
+    @given(stray_counts, stray_counts)
+    def test_golden_texts(self, stray_tokens, stray_chars):
+        for text in GOLDEN_TEXTS:
+            assert_stray_keys_change_nothing(normalize_text(text), stray_tokens, stray_chars)
+
+    @given(demo_text, stray_counts, stray_counts)
+    def test_hypothesis_text(self, text, stray_tokens, stray_chars):
+        assert_stray_keys_change_nothing(normalize_text(text), stray_tokens, stray_chars)

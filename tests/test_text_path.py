@@ -27,9 +27,15 @@ from lexid import (
 )
 from lexid import normalize
 from lexid.cli import main
-from lexid.normalize import _CHUNK, _chunks, _term_counts
+from lexid.normalize import _CHUNK, _chunks
 from lexid.scoring import _classify_text
-from test_normalize import ROMANCE_LETTERS, TRICKY_PIECES, tricky_text, url_marker_text
+from test_normalize import (
+    ROMANCE_LETTERS,
+    TRICKY_PIECES,
+    assert_term_counts,
+    tricky_text,
+    url_marker_text,
+)
 from test_scores_golden import TEXTS as GOLDEN_TEXTS
 
 # Greek sigma lowercases by context (final "ς" or "σ"), so a lexicon
@@ -41,11 +47,27 @@ EDGE_LEX = LexiconSet(
         "c": LanguageLexicon(frozenset({"le", "z"}), frozenset()),
     }
 )
-# No language lists a diacritic, so the diacritic pattern matches nothing.
+# No language lists a diacritic, so only non-ASCII letters are counted.
 NO_DIACRITICS_LEX = LexiconSet(
     {
         "a": LanguageLexicon(frozenset({"la", "le"}), frozenset()),
         "b": LanguageLexicon(frozenset({"la", "el"}), frozenset()),
+    }
+)
+# ASCII letters listed as diacritics, which the raw path keeps among the
+# characters it counts while it drops every other ASCII character.
+ASCII_DIACRITICS_LEX = LexiconSet(
+    {
+        "a": LanguageLexicon(frozenset({"la", "casa"}), frozenset("aé")),
+        "b": LanguageLexicon(frozenset({"el", "casa"}), frozenset("zñ")),
+    }
+)
+# Stop words with letters no language lists as a diacritic ("ß", "ø"),
+# which the raw path counts as characters and the scorer never reads.
+NON_DIACRITIC_LETTERS_LEX = LexiconSet(
+    {
+        "de": LanguageLexicon(frozenset({"daß", "straße", "für"}), frozenset("ü")),
+        "da": LanguageLexicon(frozenset({"kø", "sø", "og"}), frozenset("å")),
     }
 )
 DEMO_LEX = load_lexicon(demo_lexicon_dir())
@@ -54,6 +76,8 @@ LEXICONS = {
     "stripped": augment_with_stripped_variants(DEMO_LEX),
     "edge": EDGE_LEX,
     "no-diacritics": NO_DIACRITICS_LEX,
+    "ascii-diacritics": ASCII_DIACRITICS_LEX,
+    "non-diacritic-letters": NON_DIACRITIC_LETTERS_LEX,
 }
 
 # Tricky pieces mixed with whole stop words, so that texts match terms.
@@ -62,7 +86,7 @@ STOPWORDS = sorted({w for lex in LEXICONS.values() for l in lex.languages.values
 term_text = st.lists(
     st.one_of(
         st.sampled_from(ROMANCE_LETTERS),
-        st.sampled_from(TRICKY_PIECES + ["Σ", "ΑΣ", "σ", "x²y", "e\u0301"]),
+        st.sampled_from(TRICKY_PIECES + ["Σ", "ΑΣ", "σ", "x²y", "e\u0301", "ß", "Ø", "’"]),
         st.sampled_from(STOPWORDS),
     ),
     max_size=40,
@@ -126,13 +150,9 @@ class TestTermCounts:
     def test_counts_equal_normalize_text(self, raw, size):
         nt = normalize_text(raw)
         for lex in LEXICONS.values():
-            expected = (
-                nt.token_freq,
-                {ch: n for ch, n in nt.char_freq.items() if ch in lex.all_diacritics},
-            )
             with chunk_size(size):
                 for text in (raw, raw + "\n"):
-                    assert _term_counts(text, lex._diacritic_re) == expected, text[:80]
+                    assert_term_counts(text, lex, nt)
 
 
 def test_golden_texts():
@@ -209,7 +229,7 @@ def test_memory_is_bounded_by_one_chunk():
 
     one_chunk = "la casa " * (_CHUNK // 8)
     assert len(list(_chunks(one_chunk))) == 1
-    peak(one_chunk)  # compile the pattern and the scorer before measuring
+    peak(one_chunk)  # build the byte table and the scorer before measuring
     raw = "la casa " * 100_000  # 800 kB, 200,000 tokens, 13 chunks
     # A second chunk's tokens held while the next is tokenized would double it.
     assert peak(raw) < 1.5 * peak(one_chunk)
@@ -241,8 +261,10 @@ def test_loading_builds_no_scorer():
     assert load_lexicon(demo_lexicon_dir())._scorers == {}
 
 
-def test_classify_leaves_the_diacritic_pattern_unbuilt():
+def test_classify_leaves_the_diacritic_table_unbuilt():
     lex = load_lexicon(demo_lexicon_dir())
     for text in GOLDEN_TEXTS:
         classify(normalize_text(text), lex, PRESETS["test9"])
-    assert "_diacritic_re" not in vars(lex)
+    assert "_ascii_non_diacritics" not in vars(lex)
+    _classify_text(GOLDEN_TEXTS[0], lex, PRESETS["test9"])
+    assert "_ascii_non_diacritics" in vars(lex)
