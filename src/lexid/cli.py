@@ -10,10 +10,12 @@ line, decoded as UTF-8 whatever the interpreter's stdio encoding, and
 lines end only at ``\\n``, so a lone ``\\r`` stays inside its line.  A
 run of byte-order marks at the start of any line of a corpus or word
 list is ignored, and in ``detect`` a U+FEFF separates tokens.  Every
-command writes stdout as UTF-8 whatever the locale.  A reader that
-closes stdout early, as in ``lexid detect --stdin | head -1``, ends the
-run quietly with exit 0; a command started with the stdin or stdout it
-needs closed exits 2.
+command writes stdout as text, in UTF-8 whatever the locale, so a host
+may redirect it to an ``io.StringIO``; ``detect --stdin`` reads bytes,
+and exits 2 on a stdin with no byte stream.  A reader that closes stdout
+early, as in ``lexid detect --stdin | head -1``, ends the run quietly
+with exit 0; a command started with the stdin or stdout it needs closed
+exits 2.
 Results go to stdout, logs and summaries to stderr; a warning is one
 ``WARNING: <message>`` line.  ``--lexicon`` defaults to the
 ``LID_LEXICON`` environment variable.  The evaluation code is imported
@@ -105,14 +107,11 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
         raise UsageError("lexid: error: either --preset or --p is required")
     # Only the modes given, so that ScoringConfig alone holds their defaults.
     modes = {"tf_mode": args.tf, "weight_mode": args.weight}
-    try:
-        return ScoringConfig(
-            p=args.p,
-            stopword_fallback=True if args.fallback is None else args.fallback,
-            **{field: mode for field, mode in modes.items() if mode is not None},
-        )
-    except ValueError as exc:
-        raise UsageError(f"lexid: error: {exc}") from None
+    return ScoringConfig(
+        p=args.p,
+        stopword_fallback=True if args.fallback is None else args.fallback,
+        **{field: mode for field, mode in modes.items() if mode is not None},
+    )
 
 
 def _std(name: str):
@@ -148,7 +147,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     decoding = {"encoding": "utf-8", "errors": "surrogateescape", "newline": "\n"}
     with contextlib.ExitStack() as stack:
         if args.stdin:
-            lines = io.TextIOWrapper(_std("stdin").buffer, **decoding)
+            try:
+                stdin = _std("stdin").buffer
+            except AttributeError:  # a host's text stream, as io.StringIO
+                raise OSError("stdin is not a byte stream") from None
+            lines = io.TextIOWrapper(stdin, **decoding)
             # Detaching hands the buffer back unclosed, so stdin stays open.
             stack.callback(lines.detach)
         elif args.file is not None:
@@ -192,8 +195,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if out is None:
         Path(args.out).write_bytes(payload)
     else:
-        out.buffer.write(payload)
-        out.buffer.flush()
+        out.write(payload.decode("utf-8"))
+        out.flush()  # the report reaches the stream before the summary line
     print(
         f"overall accuracy {report.overall_accuracy * 100:.2f}%"
         f" over {report.total_documents} documents",

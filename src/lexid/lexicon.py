@@ -101,9 +101,8 @@ class LexiconSet:
     only cross-language view.
     Immutable after construction, save what is stored on first use: the
     digest :meth:`fingerprint`, the ASCII bytes the raw-text path drops
-    before it counts characters, and the compiled functions of the 16
-    configs it compiled last (``scoring._KEPT_CONFIGS``), about 1.5 KB
-    each, which :mod:`lexid.scoring` fills; a pickled copy holds none.
+    before it counts characters, and the compiled functions that
+    :func:`lexid.scoring._compiled` keeps.
     Safe to share between any number of concurrent scorers.
     """
 
@@ -367,17 +366,15 @@ def _check_files(
             continue
         entries = []
         for line_no, line in enumerate(text.split("\n"), 1):
-            term = line.strip()
-            if not term or term[0] == "#":
-                continue
-            if not _all_canonical(kind, (term,)):
-                try:
-                    entry = _entry(kind, term)
-                except LexiconError as exc:
-                    raise LexiconError(f"{path}:{line_no}: {exc}") from None
-                _warn(f"{path}:{line_no}: normalized {term!r} to {entry!r}", warnings_to)
-                term = entry
-            entries.append(term)
+            for term in _entry_lines(line):
+                if not _all_canonical(kind, (term,)):
+                    try:
+                        entry = _entry(kind, term)
+                    except LexiconError as exc:
+                        raise LexiconError(f"{path}:{line_no}: {exc}") from None
+                    _warn(f"{path}:{line_no}: normalized {term!r} to {entry!r}", warnings_to)
+                    term = entry
+                entries.append(term)
         lines[:] = entries
 
 

@@ -26,14 +26,12 @@ of the languages listing it.  Each (lexicon, config) pair is compiled
 once into one function: it looks up the index, the term-frequency
 function, the weight table (one weight per number of listing languages),
 ``p`` and the fallback once, and prebuilds the verdict of each language
-winning.  The lexicon keeps the compiled functions of the
-``_KEPT_CONFIGS`` (16) configs it compiled last, about 1.5 KB each; a
-pickled copy holds none.  The function adds each dictionary's matched
-terms into a list indexed by position, with one sum that serves both
-dictionaries, reading one map of token counts and one of character
-counts and only at the lexicon's terms, then picks the verdict with
-:func:`_verdict` and returns it with the scores as a list in lexicon
-order.
+winning; :func:`_compiled` says which of these functions the lexicon
+keeps.  The function adds each dictionary's matched terms into a list
+indexed by position, with one sum that serves both dictionaries, reading
+one map of token counts and one of character counts and only at the
+lexicon's terms, then picks the verdict with :func:`_verdict` and
+returns it with the scores as a list in lexicon order.
 
 :func:`classify`, :func:`score_all` and :func:`_classify_text` each
 call that one function.  :func:`classify` and :func:`score_all` pass a

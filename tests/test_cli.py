@@ -19,7 +19,7 @@ import lexid
 import lexid.lexicon as lexicon_module
 from lexid import PRESETS, classify, demo_lexicon_dir, load_lexicon, normalize_text, preset_config
 from lexid.cli import main
-from lexid.evaluation import load_corpus
+from lexid.evaluation import emit_report, evaluate, load_corpus
 
 from test_evaluation import concatenation, fork_with_failures, hostile_json_line, raising
 from test_lexicon import NOT_UTF8, word_list, write_lexicon_dir
@@ -498,8 +498,9 @@ class TestDetectErrors:
         assert "--preset or --p" in err
 
     def test_p_out_of_range(self, capsys, ab_dir):
-        code, _, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--p", "1.5", "x"])
+        code, _, err = run(capsys, ["detect", "--lexicon", ab_dir, "--p", "1.5", "x"])
         assert code == 1
+        assert err == "lexid: error: p must be within [0, 1], got 1.5\n"
 
     def test_missing_lexicon_flag(self, capsys, monkeypatch):
         monkeypatch.delenv("LID_LEXICON", raising=False)
@@ -644,6 +645,33 @@ class TestEvaluate:
         assert code == 0
         assert "Per-language accuracy" in out
         assert "overall accuracy" in err
+
+    def test_report_reaches_the_stream_before_the_summary(self, ab_dir, corpus_tsv):
+        done = subprocess.run(
+            [sys.executable, "-m", "lexid.cli", "evaluate", "--lexicon", ab_dir,
+             "--corpus", corpus_tsv, "--format", "tsv", "--preset", "test9", "--report", "table"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        report = evaluate(load_corpus(corpus_tsv, "tsv"), load_lexicon(ab_dir), PRESETS["test9"])
+        summary = b"overall accuracy 66.67% over 6 documents\n"
+        assert (done.returncode, done.stdout) == (0, emit_report(report, "table") + summary)
+
+    @pytest.mark.parametrize("format", ["json", "table"])
+    def test_non_ascii_code_on_an_ascii_stdout(self, tmp_path, format):
+        root = tmp_path / "lex"
+        write_lexicon_dir(root, {"a": (["le"], ["é"]), "ελ": (["το"], ["ά"])})
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("ελ\tτο σπίτι\na\tle café\n", encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "lexid.cli", "evaluate", "--lexicon", str(root),
+             "--corpus", str(corpus), "--format", "tsv", "--preset", "test9", "--report", format],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "ascii"},
+        )
+        report = evaluate(load_corpus(corpus, "tsv"), load_lexicon(root), PRESETS["test9"])
+        assert (done.returncode, done.stdout) == (0, emit_report(report, format))
 
     def test_jobs_byte_identical(self, tmp_path, capsys, ab_dir, corpus_tsv):
         outputs = []
@@ -1056,6 +1084,14 @@ class TestClosedStreams:
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert err == "lexid: i/o error: stdin is closed\n"
+
+    def test_detect_stdin_without_a_byte_stream(self, capsys, monkeypatch, ab_dir):
+        """``detect`` decodes its input itself, so a host's text stdin is an I/O error."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO("le café\n"))
+        argv = ["detect", "--lexicon", ab_dir, "--preset", "test9", "--stdin"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "lexid: i/o error: stdin is not a byte stream\n"
 
     def test_detect_stdout_closed(self, capsys, monkeypatch, ab_dir):
         monkeypatch.setattr(sys, "stdout", None)

@@ -11,8 +11,9 @@ which compiles what it needs itself; the evaluation calls that path
 only where it counts the documents it is handed; the corpus loader
 reads every line by one rule; no reader drops a byte-order mark only at
 the start of its input, or from bytes; only the scoring module spells a
-mode name; and no docstring holds a line break or a carriage return
-where it means the escape sequence.
+mode name; one function defines a word list's comment line; the CLI
+takes a byte stream only from stdin; and no docstring holds a line break
+or a carriage return where it means the escape sequence.
 """
 
 import ast
@@ -361,3 +362,38 @@ def test_no_docstring_holds_a_carriage_return_or_a_line_break_literal():
     ]
     assert SOURCES
     assert found == []
+
+
+def test_only_entry_lines_names_the_comment_mark():
+    """``lexicon._entry_lines`` is the one definition of a word list's entry line.
+
+    So the ``"#"`` that starts a comment line appears, outside
+    docstrings, only in that function.
+    """
+    holders = set()
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Constant) and child.value == "#":
+                holders.add((path.name, function))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if named else function)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text("utf-8"), str(path)), path, None)
+    assert holders == {("lexicon.py", "_entry_lines")}
+
+
+def test_the_cli_reads_bytes_only_from_stdin():
+    """Every command writes stdout as text; only ``detect --stdin`` takes a byte stream.
+
+    So ``cli.py`` names ``buffer`` only on the stdin it reads, and a host
+    whose stdout is an ``io.StringIO`` gets every command's output.
+    """
+    path = next(path for path in SOURCES if path.name == "cli.py")
+    found = [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "buffer"
+    ]
+    assert found == ["_std('stdin').buffer"]
