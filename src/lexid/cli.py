@@ -1,29 +1,19 @@
-"""Command-line interface: detect, evaluate, dict, presets.
+"""Identify the Romance language of a text by its stop words and diacritics.
 
-Exit codes: 0 success (an unclassified text is *not* an error), 1 usage
-error, 2 I/O error, an input too large for memory or an evaluation
-worker that exited before sending its counts (as one the system killed
-for memory does), 3 lexicon validation failure (a language code that is
-not UTF-8 text included), 4 corpus rejected for too many malformed
-lines.  ``detect --stdin`` and ``detect --file`` classify one text per
-line, decoded as UTF-8 whatever the interpreter's stdio encoding, and
-lines end only at ``\\n``, so a lone ``\\r`` stays inside its line.  A
-run of byte-order marks at the start of any line of a corpus or word
-list is ignored, and in ``detect`` a U+FEFF separates tokens.  Every
-command writes stdout as text, in UTF-8 whatever the locale, so a host
-may redirect it to an ``io.StringIO``; ``detect --stdin`` reads bytes,
-and exits 2 on a stdin with no byte stream.  A reader that closes stdout
-early, as in ``lexid detect --stdin | head -1``, ends the run quietly
-with exit 0; a command started with the stdin or stdout it needs closed
-exits 2.
-Results go to stdout, logs and summaries to stderr; a warning is one
-``WARNING: <message>`` line.  ``--lexicon`` defaults to the
-``LID_LEXICON`` environment variable.  The evaluation code is imported
-only by ``evaluate``, the lexicon tooling (:mod:`lexid.tooling`) only by
-``dict``, :mod:`json` only by ``evaluate`` and ``detect --scores``, and
-:mod:`logging` only when a record is logged, so a ``detect`` that has
-nothing to warn about starts without them.  Each verdict goes out in one
-write, as soon as its line is classified.
+Exit codes: 0 success (a text no language won, printed as und, is not an
+error), 1 usage error, 2 I/O error (a command started with the stdin or
+stdout it needs closed, an input too large for memory, or an evaluate
+worker that exited before sending its counts), 3 lexicon validation
+failure, 4 corpus rejected for too many malformed lines.
+
+detect --stdin and detect --file classify one text per line; input is
+read as UTF-8 whatever the locale, and a line ends only at a line feed,
+so a lone carriage return stays inside its line.  Results go to stdout,
+in UTF-8 whatever the locale; warnings, errors and the evaluate summary
+go to stderr, one line each, and a stderr that cannot be written changes
+no exit code.  A reader that closes stdout early, as in
+lexid detect --stdin | head -1, ends the run quietly with exit 0.
+--lexicon defaults to the LID_LEXICON environment variable.
 """
 
 from __future__ import annotations
@@ -35,7 +25,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import lexicon
 from .lexicon import (
     DIACRITIC,
     STOPWORD,
@@ -43,6 +32,7 @@ from .lexicon import (
     LexiconError,
     _DICTIONARIES,
     _read_entries,
+    _stderr,
     demo_lexicon_dir,
     load_lexicon,
 )
@@ -56,7 +46,7 @@ EXIT_CORPUS = 4
 
 
 class UsageError(Exception):
-    """Command-line usage problem; maps to exit code 1."""
+    """An argparse usage error, its message ready to print; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,12 +89,10 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
     ]
     if args.preset:
         if explicit:
-            raise UsageError(
-                f"lexid: error: --preset cannot be combined with {', '.join(explicit)}"
-            )
+            raise ValueError(f"--preset cannot be combined with {', '.join(explicit)}")
         return preset_config(args.preset)
     if args.p is None:
-        raise UsageError("lexid: error: either --preset or --p is required")
+        raise ValueError("either --preset or --p is required")
     # Only the modes given, so that ScoringConfig alone holds their defaults.
     modes = {"tf_mode": args.tf, "weight_mode": args.weight}
     return ScoringConfig(
@@ -124,16 +112,14 @@ def _std(name: str):
 
 def _require_lexicon(args: argparse.Namespace, warnings_to=None):
     if not args.lexicon:
-        raise UsageError("lexid: error: --lexicon is required (or set LID_LEXICON)")
+        raise ValueError("--lexicon is required (or set LID_LEXICON)")
     return load_lexicon(args.lexicon, warnings_to)
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     sources = sum((args.text is not None, args.stdin, args.file is not None))
     if sources != 1:
-        raise UsageError(
-            "lexid: error: exactly one input source (TEXT, --stdin or --file) is required"
-        )
+        raise ValueError("exactly one input source (TEXT, --stdin or --file) is required")
     out = _std("stdout")
     lex = _require_lexicon(args)
     cfg = _resolve_config(args)
@@ -177,30 +163,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluation import CorpusFormatError, emit_report, evaluate, load_corpus
 
     if args.jobs < 1:
-        raise UsageError("lexid: error: --jobs must be >= 1")
+        raise ValueError("--jobs must be >= 1")
     out = None if args.out else _std("stdout")
     lex = _require_lexicon(args)
     cfg = _resolve_config(args)
     try:
         corpus = load_corpus(args.corpus, args.format)
     except CorpusFormatError as exc:
-        print(f"lexid: corpus error: {exc}", file=sys.stderr)
+        _stderr(f"lexid: corpus error: {exc}")
         return EXIT_CORPUS
-    try:
-        report = evaluate(corpus, lex, cfg, parallelism=args.jobs)
-    except RuntimeError as exc:  # a worker exited before sending its counts
-        print(f"lexid: error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    report = evaluate(corpus, lex, cfg, parallelism=args.jobs)
     payload = emit_report(report, args.report)
     if out is None:
         Path(args.out).write_bytes(payload)
     else:
         out.write(payload.decode("utf-8"))
         out.flush()  # the report reaches the stream before the summary line
-    print(
+    _stderr(
         f"overall accuracy {report.overall_accuracy * 100:.2f}%"
-        f" over {report.total_documents} documents",
-        file=sys.stderr,
+        f" over {report.total_documents} documents"
     )
     return EXIT_OK
 
@@ -248,7 +229,9 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="lexid", description=__doc__)
+    parser = _Parser(
+        prog="lexid", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     detect = commands.add_parser("detect", help="classify one text or a stream of lines")
@@ -304,8 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(sys.stdout, io.TextIOWrapper):
         sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     parser = _build_parser()
-    # Applied by the first warning; a run that logs nothing never loads logging.
-    lexicon._log_config = {"stream": sys.stderr, "format": "%(levelname)s: %(message)s"}
     try:
         args = parser.parse_args(argv)
         code = args.func(args)
@@ -320,23 +301,23 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return EXIT_OK
     except UsageError as exc:
-        print(exc, file=sys.stderr)
+        _stderr(str(exc))
         return EXIT_USAGE
     except LexiconError as exc:
-        print(f"lexid: lexicon error: {exc}", file=sys.stderr)
+        _stderr(f"lexid: lexicon error: {exc}")
         return EXIT_LEXICON
     except OSError as exc:
-        print(f"lexid: i/o error: {exc}", file=sys.stderr)
+        _stderr(f"lexid: i/o error: {exc}")
         return EXIT_IO
     except MemoryError:
-        print("lexid: i/o error: out of memory (input too large)", file=sys.stderr)
+        _stderr("lexid: i/o error: out of memory (input too large)")
+        return EXIT_IO
+    except RuntimeError as exc:  # an evaluate worker exited before sending its counts
+        _stderr(f"lexid: error: {exc}")
         return EXIT_IO
     except ValueError as exc:  # e.g. corpus gold labels outside the lexicon
-        print(f"lexid: error: {exc}", file=sys.stderr)
+        _stderr(f"lexid: error: {exc}")
         return EXIT_USAGE
-    finally:
-        # A host that calls main() keeps its own logging set-up afterwards.
-        lexicon._log_config = None
 
 
 def run() -> None:

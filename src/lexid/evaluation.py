@@ -227,7 +227,7 @@ def evaluate(
     present = {doc.gold for doc in corpus}
     unknown = present - set(lex.codes)
     if unknown:
-        raise ValueError(f"gold labels not in lexicon: {', '.join(sorted(unknown))}")
+        raise ValueError(f"gold labels not in lexicon: {', '.join(map(repr, sorted(unknown)))}")
 
     workers = min(parallelism, os.cpu_count() or 1, len(corpus))
     if workers < 2:

@@ -35,6 +35,7 @@ saving) are in :mod:`lexid.tooling`.
 from __future__ import annotations
 
 import os
+import sys
 import unicodedata
 from collections import namedtuple
 from collections.abc import Mapping
@@ -297,20 +298,35 @@ def load_lexicon(root: str | Path, warnings_to: list[Finding] | None = None) -> 
         raise LexiconError(f"{root}: {exc}") from None
 
 
-#: ``logging.basicConfig`` arguments that :func:`_warn` applies once,
-#: before its first record; ``lexid.cli.main`` sets them while it runs.
-_log_config: dict | None = None
+def _stderr(line: str) -> None:
+    """Write ``line`` and a line end to the current ``sys.stderr``, the one writer of stderr.
+
+    A stderr that is ``None`` (its fd was closed at start), closed or full
+    is skipped, so a failed write never changes an exit code.
+    """
+    try:
+        sys.stderr.write(line + "\n")
+    except (AttributeError, OSError, ValueError):
+        pass
 
 
 def _warn(message: str, warnings_to: list[Finding] | None = None, logger: str = __name__) -> None:
-    """Log ``message`` as a warning of ``logger``, importing :mod:`logging` on first use."""
-    global _log_config
+    """Warn about ``message`` as logger ``logger``, importing :mod:`logging` on first use.
+
+    When a handler will take the record, or the host silenced the logger
+    (a level above WARNING, or ``logging.disable``), the record is logged.
+    Otherwise ``WARNING: <message>`` goes out through :func:`_stderr`,
+    where logging's last resort would print the bare message; so no
+    handler is ever installed.  ``warnings_to``, when given, also gets the
+    message as a :class:`Finding`.
+    """
     import logging
 
-    if _log_config is not None:
-        logging.basicConfig(**_log_config)
-        _log_config = None
-    logging.getLogger(logger).warning("%s", message)
+    log = logging.getLogger(logger)
+    if log.hasHandlers() or not log.isEnabledFor(logging.WARNING):
+        log.warning("%s", message)
+    else:
+        _stderr(f"WARNING: {message}")
     if warnings_to is not None:
         warnings_to.append(Finding("warning", message))
 

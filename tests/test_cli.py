@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lexid
-import lexid.lexicon as lexicon_module
 from lexid import PRESETS, classify, demo_lexicon_dir, load_lexicon, normalize_text, preset_config
 from lexid.cli import main
 from lexid.evaluation import emit_report, evaluate, load_corpus
@@ -462,9 +461,44 @@ class TestLogging:
         argv = ["detect", "--lexicon", str(capital_lexicon), "--preset", "test9", "le"]
         assert loaded_after_detect(argv, ["logging"]) == ["a", "['logging']"]
 
-    def test_main_leaves_no_logging_set_up_behind(self, capsys, ab_dir):
-        assert run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test9", "le"])[0] == 0
-        assert lexicon_module._log_config is None
+    @staticmethod
+    def main_without_handlers(argv):
+        """``main(argv)`` in process with no root handler; its exit code, stdout and stderr.
+
+        It also checks that ``main`` left the root logger with no handler.
+        """
+        root = logging.getLogger()
+        saved, root.handlers = root.handlers, []
+        stdout, stderr = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert root.handlers == []
+        finally:
+            root.handlers = saved
+        return code, stdout.getvalue(), stderr.getvalue()
+
+    def test_main_leaves_no_logging_set_up_behind(self, capital_lexicon):
+        """With no handler set up, each call warns to its own stderr and installs none."""
+        argv = ["detect", "--lexicon", str(capital_lexicon), "--preset", "test9", "le"]
+        path = capital_lexicon / "a" / "stopwords.txt"
+        warned = (0, "a\n", f"WARNING: {path}:1: normalized 'Le' to 'le'\n")
+        assert [self.main_without_handlers(argv) for _ in range(2)] == [warned, warned]
+
+    @pytest.mark.parametrize("silence", ["level", "disable"])
+    def test_a_silenced_logger_writes_nothing(self, capital_lexicon, silence):
+        """A host that silenced lexid's loggers gets no ``WARNING:`` line either."""
+        argv = ["detect", "--lexicon", str(capital_lexicon), "--preset", "test9", "le"]
+        logger = logging.getLogger("lexid")
+        if silence == "level":
+            logger.setLevel(logging.ERROR)
+        else:
+            logging.disable(logging.WARNING)
+        try:
+            assert self.main_without_handlers(argv) == (0, "a\n", "")
+        finally:
+            logger.setLevel(logging.NOTSET)
+            logging.disable(logging.NOTSET)
 
     def test_logger_names(self, capital_lexicon, corpus_without_tab, caplog):
         with caplog.at_level(logging.WARNING):
@@ -889,6 +923,18 @@ class TestEvaluate:
         assert code == 1
         assert "gold labels" in err
 
+    def test_gold_label_error_quotes_control_characters(self, capsys, ab_dir, tmp_path):
+        path = tmp_path / "cr.tsv"
+        path.write_bytes(b"E\rS\tel\nxx\tla\n")
+        code, _, err = run(
+            capsys,
+            ["evaluate", "--lexicon", ab_dir, "--corpus", str(path), "--format", "tsv",
+             "--preset", "test9"],
+        )
+        assert code == 1
+        assert err == "lexid: error: gold labels not in lexicon: 'e\\rs', 'xx'\n"
+        assert "\r" not in err
+
 
 @pytest.fixture()
 def marked_lexicons(tmp_path):
@@ -1068,6 +1114,14 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 1
 
+    def test_help_is_plain_text(self, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert (exit.value.code, out[:13]) == (0, "usage: lexid ")
+        assert "``" not in out
+        assert ":mod:" not in out
+
 
 class TestClosedStreams:
     """With fd 0 or fd 1 closed at start, Python sets ``sys.stdin``/``sys.stdout`` to None."""
@@ -1128,6 +1182,49 @@ class TestClosedStreams:
         monkeypatch.setattr(sys, "stdin", None)
         code, out, _ = run(capsys, ["detect", "--lexicon", ab_dir, "--preset", "test9", "le"])
         assert (code, out) == (0, "a\n")
+
+
+class TestUnwritableStderr:
+    """A stderr closed at start (``2>&-``) or full (``2>/dev/full``) changes no exit code."""
+
+    @pytest.fixture()
+    def argvs(self, tmp_path):
+        warns = tmp_path / "warns"
+        write_lexicon_dir(warns, {"a": (["Le", "la"], ["é"]), "b": (["el", "la"], ["ñ"])})
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("es\tel niño y la casa\nfr\tle café est déjà froid\n", "utf-8")
+        evaluate = ["evaluate", "--lexicon", DEMO, "--preset", "test9", "--format", "tsv"]
+        detect = ["detect", "--preset", "test9"]
+        return {
+            "missing lexicon": [*detect, "--lexicon", str(tmp_path / "none"), "la"],
+            "missing corpus": [*evaluate, "--corpus", str(tmp_path / "none.tsv")],
+            "no --lexicon": [*detect, "la"],
+            "warning": [*detect, "--lexicon", str(warns), "le"],
+            "evaluate": [*evaluate, "--corpus", str(corpus)],
+        }
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        ("case", "code"),
+        [("missing lexicon", 3), ("missing corpus", 2), ("no --lexicon", 1), ("warning", 0),
+         ("evaluate", 0)],
+    )
+    def test_exit_code_is_the_same_for_any_stderr(self, argvs, case, code):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        env.pop("LID_LEXICON", None)
+        command = [sys.executable, "-m", "lexid.cli", *argvs[case]]
+        runs = {}
+        with open("/dev/full", "w") as full:
+            for name, stderr in (("open", {"stderr": subprocess.PIPE}),
+                                 ("closed", {"preexec_fn": lambda: os.close(2)}),
+                                 ("full", {"stderr": full})):
+                done = subprocess.run(command, stdout=subprocess.PIPE, env=env, timeout=120,
+                                      **stderr)
+                runs[name] = (done.returncode, done.stdout)
+        assert runs["open"][0] == code
+        assert runs["closed"] == runs["full"] == runs["open"]
+        if case == "evaluate":
+            assert b"Overall accuracy: 100.00%" in runs["open"][1]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

@@ -395,7 +395,7 @@ class TestEvaluate:
 
     def test_gold_label_missing_from_lexicon(self, ab_lex):
         corpus = make_corpus([("zz", "le")])
-        with pytest.raises(ValueError, match="gold labels not in lexicon: zz"):
+        with pytest.raises(ValueError, match="gold labels not in lexicon: 'zz'"):
             evaluate(corpus, ab_lex, preset_config("test3"))
 
     def test_parallelism_must_be_positive(self, ab_lex):

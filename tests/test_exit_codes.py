@@ -7,13 +7,17 @@ documents, that stderr holds no traceback and only ``lexid:`` and
 ``WARNING:`` lines (and ``evaluate``'s summary line), and that stdout
 decodes as UTF-8 with ``surrogateescape``.  stdout starts as an ASCII
 text stream, as under a hostile locale, and stdin as a byte stream.
+Every second run that wrote to stderr is repeated with a stderr whose
+every write fails, which must leave its exit code as it was.
 :func:`sweep` runs the same cases for any seed and count, for a larger
 run outside the test suite.
 """
 
 import codecs
 import contextlib
+import errno
 import io
+import itertools
 import json
 import logging
 import os
@@ -102,13 +106,23 @@ def corpus(rng, format):
     return b"\n".join(lines) + rng.choice((b"", b"\n", b"\r\n"))
 
 
-def drive(argv, stdin=b""):
-    """``main(argv)`` with ``stdin`` as its stdin; its exit code, stdout bytes and stderr."""
+class UnwritableStderr(io.StringIO):
+    """A stderr whose every write fails, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def drive(argv, stdin=b"", stderr=None):
+    """``main(argv)`` with ``stdin`` as its stdin; its exit code, stdout bytes and stderr.
+
+    ``stderr`` is a fresh ``io.StringIO`` unless given.
+    """
     out = io.BytesIO()
     stdout = io.TextIOWrapper(out, encoding="ascii")  # main makes it UTF-8
-    stderr = io.StringIO()
+    stderr = io.StringIO() if stderr is None else stderr
     root = logging.getLogger()
-    # With no root handler, main's deferred logging set-up writes to this stderr.
+    # With no root handler, a warning is written to this stderr.
     saved, root.handlers = root.handlers, []
     saved_stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin))
     try:
@@ -143,11 +157,12 @@ def detect_labels(out, lines):
     return labels.pop() == "" and len(labels) == lines and set(labels) <= VERDICTS
 
 
-def cases(seed, count, tmp_path):
+def cases(seed, count, tmp_path, drive=drive):
     """``count`` runs of each boundary on inputs seeded by ``seed``, with no more than two jobs.
 
     Yields ``(boundary, input, code, stdout, stderr, right)``, where
     ``right`` is whether the output was the one expected where one is.
+    Each run goes through ``drive``.
     """
     rng = random.Random(seed)
     lexicon = tmp_path / "lexicon"
@@ -197,11 +212,26 @@ def cases(seed, count, tmp_path):
 
 
 def sweep(seed, count, tmp_path):
-    """Every failing case of :func:`cases`, and a count of runs per boundary and exit code."""
-    failures, exits = [], {}
-    for boundary, data, code, out, err, right in cases(seed, count, tmp_path):
+    """Every failing case of :func:`cases`, and a count of runs per boundary and exit code.
+
+    Every second run that wrote to stderr runs again with an
+    :class:`UnwritableStderr`, and fails if that changes its exit code.  A
+    run that wrote nothing there has no write to lose, and half the others
+    reach every kind of stderr line in about half the time.
+    """
+    failures, exits, unwritable, written = [], {}, [], itertools.count()
+
+    def drive_twice(argv, stdin=b""):
+        run = drive(argv, stdin)
+        if run[2] and next(written) % 2 == 0:
+            unwritable.append(drive(argv, stdin, UnwritableStderr())[0])
+        return run
+
+    for boundary, data, code, out, err, right in cases(seed, count, tmp_path, drive_twice):
         exits[boundary, code] = exits.get((boundary, code), 0) + 1
         found = problems(boundary, code, out, err) + ([] if right else ["unexpected output"])
+        found += [f"exit {other} with an unwritable stderr" for other in unwritable if other != code]
+        unwritable.clear()
         if found:
             failures.append((boundary, data[:200], found))
     return failures, exits

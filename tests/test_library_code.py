@@ -12,8 +12,10 @@ only where it counts the documents it is handed; the corpus loader
 reads every line by one rule; no reader drops a byte-order mark only at
 the start of its input, or from bytes; only the scoring module spells a
 mode name; one function defines a word list's comment line; the CLI
-takes a byte stream only from stdin; and no docstring holds a line break
-or a carriage return where it means the escape sequence.
+takes a byte stream only from stdin; no docstring holds a line break
+or a carriage return where it means the escape sequence; one function
+writes to stderr and none sets up logging; and only the CLI's ``main``
+types the prefix of an error line.
 """
 
 import ast
@@ -397,3 +399,45 @@ def test_the_cli_reads_bytes_only_from_stdin():
         if isinstance(node, ast.Attribute) and node.attr == "buffer"
     ]
     assert found == ["_std('stdin').buffer"]
+
+
+def holders(found):
+    """The ``(module, function)`` of each node, outside docstrings, for which ``found`` is true.
+
+    ``function`` is the innermost enclosing function, or None at module level.
+    """
+    pairs = set()
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue  # a docstring
+            if found(child):
+                pairs.add((path.name, function))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if named else function)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text("utf-8"), str(path)), path, None)
+    return pairs
+
+
+def test_only_one_function_writes_to_stderr():
+    """``lexicon._stderr`` is the one writer of a stderr line, and nothing sets up logging."""
+    assert holders(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "stderr")
+        or (isinstance(node, ast.Constant) and node.value == "stderr")
+    ) == {("lexicon.py", "_stderr")}
+    assert holders(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "basicConfig")
+        or (isinstance(node, ast.alias) and node.name == "basicConfig")
+    ) == set()
+
+
+def test_only_main_types_the_error_prefix():
+    """The other usage errors raise ``ValueError``, whose line ``cli.main`` writes."""
+    assert holders(
+        lambda node: isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "lexid: error:" in node.value
+    ) == {("cli.py", "main")}
